@@ -5,20 +5,21 @@ single-photon scattering products plus one shared nonlinear convolution
 term.  The convolution depends on the evaluation node only through
 omega1 + omega2; grid fills therefore compute one adaptive integral per
 distinct frequency sum (2n - 1 of them on an n-point shared grid) and
-the three channels reuse the same ladder.
+the three channels reuse the same ladder.  The ladder is one batched
+Gauss-Kronrod run (quadrature.j_lines) that refines all rungs together
+in vectorised sweeps, in a single thread; the ``threads`` parameters
+below are accepted for call compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
+from .errors import ValidationError
 from .kernels import theta_arrays
 from .model import (
     FrequencyGrid,
@@ -27,7 +28,8 @@ from .model import (
     TwoPhotonInput,
     pulse_amplitude,
 )
-from .quadrature import QuadConfig, convolve_g, j_line
+# j_line is re-exported: perfbench/tracing.py patches it at this import site.
+from .quadrature import QuadConfig, convolve_g, j_line, j_lines  # noqa: F401
 
 
 class Channel(Enum):
@@ -146,52 +148,6 @@ def t_lr_identical(omega1: float, omega2: float, pulse: PulseSpec, params: Netwo
     return lin + _conv_term(omega1, omega2, inp, params, cfg)
 
 
-def _default_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("PHOTONSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"PHOTONSIM_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
-def _j_ladder(grid: FrequencyGrid, inp, params, cfg, threads: int | None):
-    """Reduced convolution on every distinct frequency sum of the grid.
-
-    Returns (values, error estimates) indexed by i + j for grid nodes
-    (i, j).  Raises NoConvergence naming the first failing rung.
-    """
-    n = grid.n
-    sums = 2.0 * grid.min + grid.spacing * np.arange(2 * n - 1)
-    values = np.empty(2 * n - 1, dtype=complex)
-    errors = np.empty(2 * n - 1)
-
-    def run(idx: int):
-        try:
-            return idx, j_line(float(sums[idx]), inp, params, cfg)
-        except NoConvergence as exc:
-            raise NoConvergence(
-                f"convolution did not converge at frequency sum {sums[idx]:g} "
-                f"(ladder rung {idx}): {exc}",
-                partial=exc.partial,
-                node=idx,
-            ) from exc
-
-    nthreads = _default_threads(threads)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, range(2 * n - 1)))
-    else:
-        results = [run(i) for i in range(2 * n - 1)]
-    for idx, res in results:
-        values[idx] = res.value
-        errors[idx] = res.abs_error_estimate
-    return values, errors
-
-
 def scattered_components(pulse: PulseSpec, omegas: np.ndarray, params: NetworkParams):
     """Same-channel and cross-channel single-photon products
     (theta1 * amplitude, theta2 * amplitude) on an array of frequencies."""
@@ -255,12 +211,18 @@ def channel_matrices(
     The linear terms are assembled from single-photon scattering
     products, which equals the direct rational form up to rounding; with
     identical input pulses the LL and RR matrices come out bitwise equal.
+    ``threads`` is ignored (the ladder runs in one vectorised thread).
+    NoConvergence from the ladder sets ``.node`` to the lowest failing
+    rung, whose frequency sum is that of the nodes (i, j) with
+    i + j = node.
     """
     cfg = cfg or QuadConfig()
     w = grid.points
     ll, lr, rr = linear_parts(w, w, inp, params)
     if include_convolution and params.kappa != 0.0:
-        j_values, j_errors = _j_ladder(grid, inp, params, cfg, threads)
+        # Rung i + j holds the frequency sum of node (i, j).
+        sums = 2.0 * grid.min + grid.spacing * np.arange(2 * grid.n - 1)
+        j_values, j_errors, _ = j_lines(sums, inp, params, cfg)
         idx = np.add.outer(np.arange(grid.n), np.arange(grid.n))
         pref = _combined_conv_prefactor(w[:, None], w[None, :], params)
         conv = pref * j_values[idx]

@@ -369,7 +369,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--save-config", help="write the resolved configuration to this path")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--threads", type=int, default=None, help="grid-fill worker threads")
+    p.add_argument(
+        "--threads", type=int, default=None, help="accepted and ignored (the grid fill is vectorised)"
+    )
     p.add_argument("--tol", type=float, default=None, help="relative quadrature tolerance")
 
 
@@ -430,17 +432,32 @@ def _add_two_photon_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pulse-csv-r", dest="pulse_csv_r")
 
 
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Let `--grid -6:6:121` style values survive argparse, which would
-    otherwise read a leading '-' as an option prefix."""
+    """Let `--grid -6:6:121` and `--omega-o -1.5e-05` style values survive
+    argparse, which reads a leading '-' as an option prefix unless the
+    token is a plain decimal (exponent notation is not)."""
     out = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
             skip = False
             continue
-        if tok in ("--grid", "--kappas") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (
+            tok.startswith("--")
+            and "=" not in tok
+            and nxt.startswith("-")
+            and (tok in ("--grid", "--kappas") or _is_number(nxt))
+        ):
+            out.append(f"{tok}={nxt}")
             skip = True
         else:
             out.append(tok)

@@ -112,6 +112,7 @@ def _block_densities(w1, w2, inp, params, include_conv, conv_exact):
             inp.right.gamma,
             inp.left.omega_o,
             params,
+            omega_o_r=inp.right.omega_o,
         )
         ll = ll + conv
         lr = lr + conv
@@ -216,7 +217,9 @@ def probabilities(
     equivalent half |T|^2 shortcut when the two input pulses are
     structurally identical (``use_shortcut`` overrides the automatic
     choice).  ``include_convolution`` exists as a diagnostic switch that
-    drops the nonlinear term everywhere.
+    drops the nonlinear term everywhere.  ``threads`` (here and in
+    conservation_check and hom_scan) is accepted for call compatibility
+    and ignored.
     """
     cfg = cfg or QuadConfig()
     if params.kappa == 0.0:

@@ -47,14 +47,14 @@ class PoleSet:
     degenerate: bool
 
 
-def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o, params: NetworkParams):
+def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o_l, omega_o_r, params: NetworkParams):
     """Raw pole locations in nu of the convolution integrand.
 
     p_l (left pulse, lower half), p_r (right pulse, upper half),
     q_u (kernel, upper half), q_l (kernel, lower half).
     """
-    p_l = -omega_o - 0.5j * gamma_l
-    p_r = omega_sum + omega_o + 0.5j * gamma_r
+    p_l = -omega_o_l - 0.5j * gamma_l
+    p_r = omega_sum + omega_o_r + 0.5j * gamma_r
     q_u = -params.omega_c + 2j * params.kappa
     q_l = omega_sum + params.omega_c - 2j * params.kappa
     return p_l, p_r, q_u, q_l
@@ -71,7 +71,7 @@ def poles_for(
     """Analytic pole structure of the convolution integrand at one node."""
     if params.kappa <= 0 or gamma_l <= 0 or gamma_r <= 0:
         raise ValidationError("poles are only off the real axis for kappa, gamma > 0")
-    p_l, p_r, q_u, q_l = _pole_locations(omega1 + omega2, gamma_l, gamma_r, omega_o, params)
+    p_l, p_r, q_u, q_l = _pole_locations(omega1 + omega2, gamma_l, gamma_r, omega_o, omega_o, params)
     scale = max(abs(p_l), abs(p_r), abs(q_u), abs(q_l), 1.0)
     degenerate = abs(p_r - q_u) < POLE_MERGE_TOL * scale
     if degenerate:
@@ -91,15 +91,22 @@ def poles_for(
     return PoleSet(poles=poles, degenerate=degenerate)
 
 
-def residue_j(omega_sum, gamma_l, gamma_r, omega_o, params: NetworkParams, close="upper"):
-    """Closed form of the reduced convolution (see quadrature.j_line).
+def residue_j(
+    omega_sum, gamma_l, gamma_r, omega_o, params: NetworkParams, close="upper", *, omega_o_r=None
+):
+    """Closed form of the reduced convolution (see quadrature.j_lines).
 
-    Vectorized over ``omega_sum``.  ``close`` selects the half-plane used
-    to close the contour; both must agree, which is exercised as an
-    internal consistency check in the tests.
+    Vectorized over ``omega_sum``.  ``omega_o`` is the left pulse's
+    centre parameter and ``omega_o_r`` the right one's (default: the
+    same); the right pulse pole sits at omega_sum + omega_o_r +
+    i gamma_r / 2.  ``close`` selects the half-plane used to close the
+    contour; both must agree, which is exercised as an internal
+    consistency check in the tests.
     """
     omega_sum = np.asarray(omega_sum, dtype=float)
-    p_l, p_r, q_u, q_l = _pole_locations(omega_sum, gamma_l, gamma_r, omega_o, params)
+    if omega_o_r is None:
+        omega_o_r = omega_o
+    p_l, p_r, q_u, q_l = _pole_locations(omega_sum, gamma_l, gamma_r, omega_o, omega_o_r, params)
     p_l = np.broadcast_to(np.asarray(p_l, dtype=complex), omega_sum.shape)
     q_u = np.broadcast_to(np.asarray(q_u, dtype=complex), omega_sum.shape)
     scale = np.maximum.reduce([np.abs(p_l), np.abs(p_r), np.abs(q_u), np.abs(q_l), np.ones_like(omega_sum)])

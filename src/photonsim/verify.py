@@ -25,7 +25,7 @@ from .quadrature import trapezoid_weights
 from .amplitudes import channel_matrices
 
 
-def _check_linear_unitarity(quick, threads):
+def _check_linear_unitarity(quick):
     rng = np.random.default_rng(2024)
     n = 1000 if quick else 10000
     worst = 0.0
@@ -41,7 +41,7 @@ def _check_linear_unitarity(quick, threads):
     return worst, 1e-12, f"{n} random (omega, kappa, omega_c) draws"
 
 
-def _check_kernel_conjugation(quick, threads):
+def _check_kernel_conjugation(quick):
     rng = np.random.default_rng(7)
     n = 200 if quick else 2000
     worst = 0.0
@@ -56,7 +56,7 @@ def _check_kernel_conjugation(quick, threads):
     return worst, 1e-12, f"{n} sign-reflection draws"
 
 
-def _check_oracle_match(quick, threads):
+def _check_oracle_match(quick):
     n = 5 if quick else 11
     grid = FrequencyGrid(-6.0, 6.0, n)
     worst = 0.0
@@ -66,7 +66,7 @@ def _check_oracle_match(quick, threads):
     return worst, 1e-6, f"residue vs quadrature on {n}x{n} nodes, omega_c in (0, 3)"
 
 
-def _check_contour_sides(quick, threads):
+def _check_contour_sides(quick):
     rng = np.random.default_rng(3)
     n = 50 if quick else 300
     worst = 0.0
@@ -81,15 +81,15 @@ def _check_contour_sides(quick, threads):
     return worst, 1e-10, f"{n} upper-vs-lower contour closures"
 
 
-def _check_conservation(quick, threads):
+def _check_conservation(quick):
     n = 301 if quick else 401
     grid = FrequencyGrid(-40.0, 40.0, n)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
-    dev = conservation_check(inp, NetworkParams(1.5, 0.0), grid, threads=threads)
+    dev = conservation_check(inp, NetworkParams(1.5, 0.0), grid)
     return dev, 2e-3, f"|P_LL+P_LR+P_RR - 1| on n={n}"
 
 
-def _check_coupling_limits(quick, threads):
+def _check_coupling_limits(quick):
     from .model import pulse_amplitude
 
     grid = FrequencyGrid(-12.0, 12.0, 60 if quick else 120)
@@ -98,15 +98,15 @@ def _check_coupling_limits(quick, threads):
     xi_l = pulse_amplitude(inp.left, grid.points)
     xi_r = pulse_amplitude(inp.right, grid.points)
     # weak coupling: coincidence amplitude reverts to the input product
-    ga = channel_matrices(grid, inp, NetworkParams(1e-4, 0.0), threads=threads)
+    ga = channel_matrices(grid, inp, NetworkParams(1e-4, 0.0))
     dev_weak = float(wt @ np.abs(ga.lr - np.outer(xi_l, xi_r)) ** 2 @ wt)
     # strong coupling: photons swap channels, T_LR -> xi_L(w2) xi_R(w1)
-    ga = channel_matrices(grid, inp, NetworkParams(100.0, 0.0), threads=threads)
+    ga = channel_matrices(grid, inp, NetworkParams(100.0, 0.0))
     dev_strong = float(wt @ np.abs(ga.lr - np.outer(xi_r, xi_l)) ** 2 @ wt)
     return max(dev_weak / 1e-3, dev_strong / 1e-2), 1.0, "weak/strong coupling limit distances (scaled)"
 
 
-def _check_identical_identities(quick, threads):
+def _check_identical_identities(quick):
     rng = np.random.default_rng(5)
     pulse = LorentzianPulse(1.0)
     inp = TwoPhotonInput(pulse, pulse)
@@ -129,7 +129,7 @@ def _check_identical_identities(quick, threads):
     return worst, 1.0, f"channel identities at {n} random nodes (scaled)"
 
 
-def _check_single_photon(quick, threads):
+def _check_single_photon(quick):
     worst = 0.0
     gammas = (1.0,) if quick else (0.5, 1.0, 2.0)
     kappas = (1.0,) if quick else (0.1, 1.0, 10.0)
@@ -143,24 +143,24 @@ def _check_single_photon(quick, threads):
     return worst if reflect_ok else 1.0, 1e-6, "output norms and strong-coupling reflection"
 
 
-def _check_hom_monotone(quick, threads):
+def _check_hom_monotone(quick):
     grid = FrequencyGrid(-40.0, 40.0, 201 if quick else 801)
     kappas = [0.5, 20.0] if quick else [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-    rows = hom_scan(kappas, 2.0, LorentzianPulse(1.0), grid, threads=threads)
+    rows = hom_scan(kappas, 2.0, LorentzianPulse(1.0), grid)
     decreasing = all(b.p_lr < a.p_lr for a, b in zip(rows, rows[1:]))
     tail_ok = rows[-1].p_lr < 0.1
     return (0.0 if (decreasing and tail_ok) else 1.0), 0.5, f"coincidence scan over kappa={kappas}"
 
 
-def _check_convolution_effect(quick, threads):
+def _check_convolution_effect(quick):
     # Diagnostic negative control: the nonlinear term must visibly move the
     # coincidence probability (probability conservation alone cannot see it,
     # because the independent-scattering part is itself unitary).
     grid = FrequencyGrid(-40.0, 40.0, 101 if quick else 401)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
     params = NetworkParams(1.5, 0.0)
-    full = probabilities(inp, params, grid, threads=threads)
-    lin = probabilities(inp, params, grid, threads=threads, include_convolution=False)
+    full = probabilities(inp, params, grid)
+    lin = probabilities(inp, params, grid, include_convolution=False)
     shift = abs(full.p_lr - lin.p_lr)
     return (0.0 if shift > 1e-2 else 1.0), 0.5, f"dropping the convolution shifts P_LR by {shift:.3f}"
 
@@ -180,11 +180,14 @@ _CHECKS = [
 
 
 def run_verify(quick: bool = False, threads: int | None = None) -> dict:
-    """Run every check; returns a report dict with per-check margins."""
+    """Run every check; returns a report dict with per-check margins.
+
+    ``threads`` is accepted for call compatibility and ignored.
+    """
     checks = []
     all_passed = True
     for name, fn in _CHECKS:
-        value, threshold, detail = fn(quick, threads)
+        value, threshold, detail = fn(quick)
         passed = bool(value <= threshold)
         all_passed = all_passed and passed
         checks.append(

@@ -156,6 +156,17 @@ def test_no_convergence_exit_code(capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_separate_negative_exponent_value(tmp_path):
+    # argparse alone reads "-1.5e-05" as an option and exits with
+    # "expected one argument".
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run_cli("single", "--omega-o", "-1.5e-05", "--kappa", "2", "--output", str(a)) == 0
+    assert run_cli("single", "--omega-o=-1.5e-05", "--kappa", "2", "--output", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "# omega_o = -1.5e-05" in a.read_text()
+
+
 def test_config_round_trip(tmp_path):
     cfg_path = tmp_path / "run.json"
     a = tmp_path / "a.csv"
