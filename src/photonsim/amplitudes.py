@@ -170,18 +170,18 @@ def _combined_conv_prefactor(w1: np.ndarray, w2: np.ndarray, params: NetworkPara
 
 
 def linear_parts(w1: np.ndarray, w2: np.ndarray, inp: TwoPhotonInput, params: NetworkParams):
-    """Independent-scattering parts of all three channel amplitudes on the
-    outer product of two frequency arrays (without the convolution term)."""
-    a_l, b_l = scattered_components(inp.left, np.asarray(w1, dtype=float), params)
-    a_r, b_r = scattered_components(inp.right, np.asarray(w1, dtype=float), params)
-    if w2 is w1:
-        a_l2, b_l2, a_r2, b_r2 = a_l, b_l, a_r, b_r
-    else:
-        a_l2, b_l2 = scattered_components(inp.left, np.asarray(w2, dtype=float), params)
-        a_r2, b_r2 = scattered_components(inp.right, np.asarray(w2, dtype=float), params)
-    ll = np.outer(a_l, b_r2) + np.outer(b_r, a_l2)
-    lr = np.outer(a_l, a_r2) + np.outer(b_r, b_l2)
-    rr = np.outer(b_l, a_r2) + np.outer(a_r, b_l2)
+    """Independent-scattering parts of all three channel amplitudes at the
+    broadcast pairs (w1, w2), without the convolution term: w[:, None] and
+    w[None, :] give the outer product, equal shapes give point values."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    a_l, b_l = scattered_components(inp.left, w1, params)
+    a_r, b_r = scattered_components(inp.right, w1, params)
+    a_l2, b_l2 = scattered_components(inp.left, w2, params)
+    a_r2, b_r2 = scattered_components(inp.right, w2, params)
+    ll = a_l * b_r2 + b_r * a_l2
+    lr = a_l * a_r2 + b_r * b_l2
+    rr = b_l * a_r2 + a_r * b_l2
     return ll, lr, rr
 
 
@@ -218,7 +218,7 @@ def channel_matrices(
     """
     cfg = cfg or QuadConfig()
     w = grid.points
-    ll, lr, rr = linear_parts(w, w, inp, params)
+    ll, lr, rr = linear_parts(w[:, None], w[None, :], inp, params)
     if include_convolution and params.kappa != 0.0:
         # Rung i + j holds the frequency sum of node (i, j).
         sums = 2.0 * grid.min + grid.spacing * np.arange(2 * grid.n - 1)

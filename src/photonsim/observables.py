@@ -3,11 +3,15 @@
 Channel probabilities integrate |T|^2 over the plane.  The trapezoid
 window on the shared grid captures the bulk; the pulse-shaped tails
 beyond it (about gamma/(pi*W) of the mass per photon) are integrated
-explicitly over the four half-infinite strips and four corners using
-mapped Gauss-Kronrod rules, with the closed-form residue convolution
-supplying the amplitude out there for Lorentzian inputs.  The result is
-a full-plane integral rather than a windowed one, which is what makes
-probability conservation meaningful at practical window sizes.
+explicitly over the four half-infinite strips and four corners, with
+the closed-form residue convolution supplying the amplitude out there
+for Lorentzian inputs.  Strips and corners run on the batched
+Gauss-Kronrod engine (quadrature.integrate_half_line_multi): the strips
+as one batch of four mapped half-lines, the corners as one batch of four
+outer half-lines whose integrand integrates the inner half-line of
+every outer node as one more batch.  The result is a full-plane integral
+rather than a windowed one, which is what makes probability
+conservation meaningful at practical window sizes.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ from .model import (
     pulse_width,
 )
 from .oracle import residue_j
+# integrate_half_line_multi is called through this module's name, where
+# perfbench/tracing.py patches it.
 from .quadrature import (
     QuadConfig,
     integrate_half_line_multi,
-    integrate_line_multi,
+    integrate_lines,
     trapezoid_weights,
 )
 
@@ -99,15 +105,15 @@ _CORRECTION_CFG = QuadConfig(rel_tol=1e-6, abs_tol=1e-16, max_subdivisions=400)
 
 
 def _block_densities(w1, w2, inp, params, include_conv, conv_exact):
-    """(|T_LL|^2, |T_LR|^2, |T_RR|^2) on the outer product of two
-    frequency arrays, using the closed-form convolution when available."""
-    w1 = np.atleast_1d(np.asarray(w1, dtype=float))
-    w2 = np.atleast_1d(np.asarray(w2, dtype=float))
+    """(|T_LL|^2, |T_LR|^2, |T_RR|^2) at the broadcast pairs (w1, w2) (see
+    linear_parts), using the closed-form convolution when available."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
     ll, lr, rr = linear_parts(w1, w2, inp, params)
     if include_conv and conv_exact and params.kappa > 0.0:
-        pref = _combined_conv_prefactor(w1[:, None], w2[None, :], params)
+        pref = _combined_conv_prefactor(w1, w2, params)
         conv = pref * residue_j(
-            w1[:, None] + w2[None, :],
+            w1 + w2,
             inp.left.gamma,
             inp.right.gamma,
             inp.left.omega_o,
@@ -124,53 +130,58 @@ def _tail_corrections(inp, params, grid, include_conv, conv_exact):
     """Mass of (|T_LL|^2, |T_LR|^2, |T_RR|^2) outside the window.
 
     Integrates the four half-infinite strips (one frequency beyond the
-    window, the other on the grid) and the four corners (both beyond).
-    Returns (values (3,), quadrature error estimate).
+    window, the other on the grid) as one batch of half-lines, and the
+    four corners (both beyond) as one batch of outer half-lines whose
+    integrand runs the inner half-line of every outer node as one more
+    batch.  Returns (values (3,), quadrature error estimate).
     """
     w = grid.points
     wt = trapezoid_weights(grid)
-    lo, hi = grid.min, grid.max
-    scale = max(hi - lo, 10.0)
+    scale = max(grid.max - grid.min, 10.0)
+    # Half-line side 0 lies above the window, side 1 below it.
+    edges = np.array([grid.max, grid.min])
+    directions = np.array([1.0, -1.0])
 
-    def row_f(x1):
-        dll, dlr, drr = _block_densities(x1, w, inp, params, include_conv, conv_exact)
-        return np.stack([dll @ wt, dlr @ wt, drr @ wt], axis=1)
+    def densities(w1, w2):
+        return _block_densities(w1, w2, inp, params, include_conv, conv_exact)
 
-    def col_f(x2):
-        dll, dlr, drr = _block_densities(w, x2, inp, params, include_conv, conv_exact)
-        return np.stack([wt @ dll, wt @ dlr, wt @ drr], axis=1)
+    # Strip 2 * side + j: omega1 beyond the edge for j = 0, omega2 for j = 1.
+    def strip_f(x, strip):
+        out = np.empty(x.shape + (3,))
+        rows = strip[:, 0] % 2 == 0
+        for sel, beyond_first in ((rows, True), (~rows, False)):
+            if sel.any():
+                xs = x[sel].reshape(-1, 1)
+                dens = densities(xs, w) if beyond_first else densities(w, xs)
+                out[sel] = np.stack([d @ wt for d in dens], axis=-1).reshape(-1, 15, 3)
+        return out
 
-    values = np.zeros(3)
-    err = 0.0
-    for side, edge in ((+1, hi), (-1, lo)):
-        for f in (row_f, col_f):
-            v, e, _ = integrate_half_line_multi(f, edge, side, scale, _CORRECTION_CFG)
-            values += v.real
-            err += e
+    sides = np.repeat([0, 1], 2)
+    v, e, _ = integrate_half_line_multi(
+        strip_f, edges[sides], directions[sides], scale, _CORRECTION_CFG
+    )
+    values = v.real.sum(axis=0)
+    err = float(e.sum())
 
-    def corner(side1, edge1, side2, edge2):
-        def outer_f(x1):
-            x1 = np.atleast_1d(x1)
-            rows = np.empty((x1.size, 3))
-            for i, w1 in enumerate(x1):
-                def inner_f(x2, w1=w1):
-                    dll, dlr, drr = _block_densities(
-                        np.array([w1]), x2, inp, params, include_conv, conv_exact
-                    )
-                    return np.stack([dll[0], dlr[0], drr[0]], axis=1)
+    # Corner 2 * side1 + side2: omega1 beyond edges[side1], omega2 beyond edges[side2].
+    side1, side2 = np.repeat([0, 1], 2), np.tile([0, 1], 2)
 
-                v, e, _ = integrate_half_line_multi(inner_f, edge2, side2, scale, _CORRECTION_CFG)
-                rows[i] = v.real
-            return rows
+    def corner_f(x1, corner):
+        at = x1.ravel()
+        inner = side2[np.broadcast_to(corner, x1.shape).ravel()]
 
-        return integrate_half_line_multi(outer_f, edge1, side1, scale, _CORRECTION_CFG)
+        def inner_f(x2, node):
+            return np.stack(densities(at[node], x2), axis=-1)
 
-    for s1, e1 in ((+1, hi), (-1, lo)):
-        for s2, e2 in ((+1, hi), (-1, lo)):
-            v, e, _ = corner(s1, e1, s2, e2)
-            values += v.real
-            err += e
-    return values, err
+        mass, _, _ = integrate_half_line_multi(
+            inner_f, edges[inner], directions[inner], scale, _CORRECTION_CFG
+        )
+        return mass.real.reshape(x1.shape + (3,))
+
+    v, e, _ = integrate_half_line_multi(
+        corner_f, edges[side1], directions[side1], scale, _CORRECTION_CFG
+    )
+    return values + v.real.sum(axis=0), err + float(e.sum())
 
 
 def _conv_strip_bound(conv, grid) -> float:
@@ -190,8 +201,13 @@ def _conv_strip_bound(conv, grid) -> float:
 
 def _trapezoid_refinement_error(dens, grid) -> float:
     """Richardson-style estimate: compare the trapezoid integral with the
-    one on every second grid point (possible when n is odd)."""
-    if (grid.n - 1) % 2 != 0:
+    one on every second grid point.  An even point count has no such
+    sub-grid, so both integrals then use the leading n - 1 points,
+    [min, max - spacing]; fewer than 5 points give no estimate."""
+    if grid.n % 2 == 0:
+        dens = dens[:-1, :-1]
+        grid = FrequencyGrid(grid.min, grid.max - grid.spacing, grid.n - 1)
+    if grid.n < 5:
         return 0.0
     wt = trapezoid_weights(grid)
     fine = float(wt @ dens @ wt)
@@ -370,17 +386,16 @@ def single_photon_probabilities(
     """
     cfg = cfg or QuadConfig()
 
-    def f(nu):
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    def f(nu, _line):
         t1, t2 = theta_arrays(nu, params)
         xi2 = np.abs(pulse_amplitude(pulse, nu)) ** 2
-        return np.stack([np.abs(t1) ** 2 * xi2, np.abs(t2) ** 2 * xi2], axis=1)
+        return np.stack([np.abs(t1) ** 2 * xi2, np.abs(t2) ** 2 * xi2], axis=-1)
 
     seeds = [pulse_center(pulse), -params.omega_c]
     if isinstance(pulse, SampledPulse):
-        seeds.extend(float(x) for x in pulse.grid.points)
-    v, _, _ = integrate_line_multi(f, grid.min, grid.max, cfg, seeds=seeds)
-    i_l, i_r = float(v[0].real), float(v[1].real)
+        seeds.extend(pulse.grid.points)
+    v, _, _ = integrate_lines(f, grid.min, grid.max, cfg, seeds=[seeds])
+    i_l, i_r = float(v[0, 0].real), float(v[0, 1].real)
     total = i_l + i_r
     if total <= 0.0:
         raise ValidationError("no pulse mass inside the window")

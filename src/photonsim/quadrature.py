@@ -6,16 +6,21 @@ integrals, which reuse one uniform grid across emission, spectral
 analysis, and probabilities.  All routines are stateless; integrand
 closures must be pure and accept ndarray arguments.
 
-Two adaptive engines share the rule.  ``integrate_line`` refines one
-integral, worst panel first; it serves single integrals and the
-pointwise ``convolve_g`` that the residue oracle checks.
-``integrate_lines`` refines many integrals at once: the open panels of
-all of them live in flat arrays, every sweep evaluates the new panels
-with one integrand call per block of ``_BLOCK`` panels, and each
-unconverged integral then bisects every panel whose error exceeds its
-fair share of the tolerance.  The convolution ladder (``j_lines``: one
-reduced convolution per distinct frequency sum of a grid) runs on it,
-with the mapped tails as panels of the same batch.
+One batched adaptive engine does the production integrals.
+``integrate_lines`` (windows, optionally with mapped tails) and
+``integrate_half_line_multi`` (mapped half-lines with the caller's
+scale) refine many integrals at once, each with k >= 1 components and
+its own subdivision budget: the open panels of all of them live in flat
+arrays, every sweep evaluates the new panels with one integrand call per
+block of ``_BLOCK`` panels, and each unconverged integral then bisects
+every panel whose error exceeds its fair share of the tolerance.  The
+convolution ladder (``j_lines``: one reduced convolution per distinct
+frequency sum of a grid), the out-of-window strip and corner masses of
+the probabilities and the single-photon channel masses run on it.
+``integrate_line`` and ``integrate_half_line`` refine one scalar
+integral, worst panel first, with the same rule; they serve the
+pointwise ``convolve_g`` that the residue oracle checks, as a path
+independent of the engine, and the whole-line single-photon norm.
 """
 
 from __future__ import annotations
@@ -162,76 +167,6 @@ def integrate_line(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=(
     return QuadResult(total, total_err, evals)
 
 
-def _gk_panel_multi(f, a: float, b: float):
-    """Gauss-Kronrod panel for an f returning one row of k values per node;
-    the error estimate is the max-norm difference of the embedded rules."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fx = np.asarray(f(c + h * _NODES))
-    val = h * (_WK @ fx)
-    err = float(np.max(np.abs(val - h * (_WG @ fx[_GAUSS_IDX]))))
-    return val, err
-
-
-def integrate_line_multi(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=()):
-    """Adaptive integral of a vector-valued integrand over [a, b].
-
-    ``f`` maps an (m,) abscissa array to an (m, k) value array; all k
-    components share one panel subdivision driven by the worst component.
-    Returns (values (k,), error, evaluations).
-    """
-    cfg = cfg or QuadConfig()
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    breaks = [a] + sorted(x for x in set(float(s) for s in seeds) if a < x < b) + [b]
-    heap = []
-    total = None
-    total_err = 0.0
-    evals = 0
-    tie = 0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        val, err = _gk_panel_multi(f, lo, hi)
-        evals += 15
-        total = val if total is None else total + val
-        total_err += err
-        heapq.heappush(heap, (-err, tie, lo, hi, val, err))
-        tie += 1
-    splits = len(breaks) - 2
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(total)))):
-        if splits >= cfg.max_subdivisions:
-            raise NoConvergence(
-                f"vector line integral did not converge after {splits} subdivisions "
-                f"(error estimate {total_err:.3e})",
-                partial=QuadResult(complex(np.sum(total)), total_err, evals),
-            )
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        vl, el = _gk_panel_multi(f, lo, mid)
-        vr, er = _gk_panel_multi(f, mid, hi)
-        evals += 30
-        total = total + vl + vr - val
-        total_err += el + er - err
-        heapq.heappush(heap, (-el, tie, lo, mid, vl, el))
-        heapq.heappush(heap, (-er, tie + 1, mid, hi, vr, er))
-        tie += 2
-        splits += 1
-    return total, total_err, evals
-
-
-def integrate_half_line_multi(f, edge: float, direction: int, scale: float, cfg: QuadConfig, seeds=()):
-    """Vector-valued analogue of integrate_half_line."""
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-
-    def mapped(u):
-        u = np.asarray(u, dtype=float)
-        x = edge + direction * scale * (1.0 - u) / u
-        return np.asarray(f(x)) * (scale / u**2)[:, None]
-
-    useeds = [scale / (scale + abs(s - edge)) for s in seeds]
-    return integrate_line_multi(mapped, 0.0, 1.0, cfg, seeds=useeds)
-
-
 def integrate_half_line(f, edge: float, direction: int, scale: float, cfg: QuadConfig) -> QuadResult:
     """Integrate f over (edge, +inf) or (-inf, edge) via u = scale/(scale+|x-edge|).
 
@@ -251,16 +186,16 @@ def integrate_half_line(f, edge: float, direction: int, scale: float, cfg: QuadC
     return integrate_line(mapped, 0.0, 1.0, cfg)
 
 
-# Panels per integrand call in integrate_lines.  It bounds the (block, 15)
-# node and value arrays; larger blocks were no faster and raised peak
-# memory (4096 panels: +27% resident set on a tabulated-pulse fill).
+# Panels per integrand call in the batched engine.  It bounds the
+# (block, 15) node and value arrays; larger blocks were no faster and
+# raised peak memory (4096 panels: +27% resident set on a tabulated-pulse
+# fill).
 _BLOCK = 256
 
-# Half-line tails get a small fixed budget: their mapped integrands are
-# smooth, so needing more subdivisions means the window was misplaced.
+# The ladder's half-line tails get a small fixed budget: their mapped
+# integrands are smooth, so needing more subdivisions means the window
+# was misplaced.
 _TAIL_SUBDIVISIONS = 50
-
-_SEGMENT_NAMES = ("window", "left tail", "right tail")
 
 
 def _initial_panels(lo, hi, seeds):
@@ -278,85 +213,80 @@ def _initial_panels(lo, hi, seeds):
     return line, a[keep], b[keep]
 
 
-def _gk_blocks(f, seg, a, b, seg_line, tail, edge, step):
-    """Gauss-Kronrod 7/15 values and error estimates of panels [a, b] of
-    segments ``seg``.  Tail segments integrate in the mapped variable u,
+def _gk_blocks(f, seg, a, b, seg_line, edge, step):
+    """Gauss-Kronrod 7/15 values (panels, k) and error estimates (panels,)
+    of panels [a, b] of segments ``seg``; a panel's error is the max-norm
+    over the k components of the Kronrod-Gauss difference.  Segments with
+    step != 0 integrate in the mapped variable u,
     x = edge + step * (1 - u) / u with step = +-scale."""
-    val = np.empty(seg.size, dtype=complex)
+    val = None
     err = np.empty(seg.size)
+    seg_mapped = step != 0.0
     for start in range(0, seg.size, _BLOCK):
         sl = slice(start, start + _BLOCK)
         s = seg[sl]
         h = 0.5 * (b[sl] - a[sl])
         x = (0.5 * (a[sl] + b[sl]))[:, None] + h[:, None] * _NODES
-        mapped = tail[s]
+        mapped = seg_mapped[s]
         if mapped.any():
             u = x[mapped]
             st = step[s[mapped]][:, None]
             x[mapped] = edge[s[mapped]][:, None] + st * (1.0 - u) / u
         fx = np.asarray(f(x, seg_line[s][:, None]), dtype=complex)
         if mapped.any():
-            fx[mapped] *= np.abs(st) / u**2
+            jac = np.abs(st) / u**2
+            fx[mapped] *= jac if fx.ndim == 2 else jac[:, :, None]
+        k = 1
+        if fx.ndim == 3:
+            # One row of 15 node values per panel and component.
+            k = fx.shape[2]
+            fx = fx.transpose(0, 2, 1).reshape(-1, 15)
+            h = np.repeat(h, k)
         kron = h * (fx @ _WK)
-        val[sl] = kron
-        err[sl] = np.abs(kron - h * (fx[:, _GAUSS_IDX] @ _WG))
+        diff = np.abs(kron - h * (fx[:, _GAUSS_IDX] @ _WG))
+        if val is None:
+            val = np.empty((seg.size, k), dtype=complex)
+        val[sl] = kron.reshape(-1, k)
+        err[sl] = diff if k == 1 else diff.reshape(-1, k).max(axis=1)
     return val, err
 
 
-def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails: bool = False):
-    """Adaptively integrate m complex-valued integrands at once.
+def _segment_sums(seg, val, nseg):
+    """Per-segment sums (nseg, k) of panel values (panels, k)."""
+    return np.stack(
+        [np.bincount(seg, v.real, nseg) + 1j * np.bincount(seg, v.imag, nseg) for v in val.T],
+        axis=1,
+    )
 
-    ``f(x, line)`` receives abscissae x of shape (k, 15) and the integer
-    line index of each row, shape (k, 1), and returns values shaped like
-    x.  Line i is integrated over the window [lo[i], hi[i]] (a window
-    with hi <= lo is empty and adds zero); ``seeds`` is an (m, s) array of
-    initial break points, NaN or out-of-window entries ignored.  With
-    ``tails`` each line also gets the half-lines beyond lo and hi,
-    mapped onto u in (0, 1] as in integrate_half_line with scale
-    max(|edge|, 10).
 
-    Each window and each tail is its own integral with integrate_line's
-    rule: converged when its summed panel error is at most
-    max(abs_tol, rel_tol * |value|).  A window may split
-    cfg.max_subdivisions times (its seeds count), a tail
-    min(cfg.max_subdivisions, 50) times.  Every sweep bisects, in each
-    unconverged integral, the panels whose error exceeds tol / npanels,
-    worst first and within its remaining budget.  Decisions for one
-    integral never depend on the others, so a line fails in a batch
-    exactly when it fails alone.
+def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
+    """The batched adaptive Gauss-Kronrod engine behind integrate_lines
+    and integrate_half_line_multi.
 
-    Returns (values (m,), error estimates (m,), evaluations (m,)).
-    Raises NoConvergence for the lowest failing line, with ``.node`` its
-    index and ``.partial`` its QuadResult.
+    Segment j (a window, or a half-line mapped onto u in (0, 1] when
+    step[j] != 0) is its own integral and adds to line j % m; labels[j // m]
+    names it in errors.  (seg, a, b) are the initial panels.  A segment
+    converges when its summed panel error is at most
+    max(abs_tol, rel_tol * max_k |value_k|) and may split budget[j] times
+    (its initial panels count).  Every sweep bisects, in each unconverged
+    segment, the panels whose error exceeds tol / npanels, worst first and
+    within its remaining budget; decisions for one segment never depend on
+    the others.
     """
-    cfg = cfg or QuadConfig()
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    m = lo.size
-    seg, a, b = _initial_panels(lo, hi, seeds)
-    # Segment j covers line j % m: windows first, then left and right tails.
-    nseg = 3 * m if tails else m
+    nseg = edge.size
     seg_line = np.arange(nseg) % m
-    kind = np.arange(nseg) // m
-    tail = kind > 0
-    edge = np.where(kind == 1, lo[seg_line], hi[seg_line])
-    step = np.maximum(np.abs(edge), 10.0) * np.where(kind == 1, -1.0, 1.0)
-    budget = np.where(tail, min(cfg.max_subdivisions, _TAIL_SUBDIVISIONS), cfg.max_subdivisions)
-    if tails:
-        seg = np.concatenate([seg, np.arange(m, nseg)])
-        a = np.concatenate([a, np.zeros(2 * m)])
-        b = np.concatenate([b, np.ones(2 * m)])
     splits = np.bincount(seg, minlength=nseg) - 1
-    values = np.zeros(nseg, dtype=complex)
-    errors = np.zeros(nseg)
     evals = 15 * (splits + 1)
     failed = np.zeros(nseg, dtype=bool)
-    val, err = _gk_blocks(f, seg, a, b, seg_line, tail, edge, step)
+    val, err = _gk_blocks(f, seg, a, b, seg_line, edge, step)
+    k = 1 if val is None else val.shape[1]
+    values = np.zeros((nseg, k), dtype=complex)
+    errors = np.zeros(nseg)
     while seg.size:
         npan = np.bincount(seg, minlength=nseg)
-        total = np.bincount(seg, val.real, nseg) + 1j * np.bincount(seg, val.imag, nseg)
+        total = _segment_sums(seg, val, nseg)
         total_err = np.bincount(seg, err, nseg)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total).max(axis=1))
         done = (npan > 0) & ((total_err <= tol) | (splits >= budget))
         failed |= done & (total_err > tol)
         values[done] = total[done]
@@ -382,7 +312,7 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
         c_seg = np.concatenate([seg[pick], seg[pick]])
         c_a = np.concatenate([a[pick], mid])
         c_b = np.concatenate([mid, b[pick]])
-        c_val, c_err = _gk_blocks(f, c_seg, c_a, c_b, seg_line, tail, edge, step)
+        c_val, c_err = _gk_blocks(f, c_seg, c_a, c_b, seg_line, edge, step)
         evals += 15 * np.bincount(c_seg, minlength=nseg)
         keep = np.ones(seg.size, dtype=bool)
         keep[pick] = False
@@ -392,20 +322,93 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
         val = np.concatenate([val[keep], c_val])
         err = np.concatenate([err[keep], c_err])
 
-    def per_line(x):
-        return x.reshape(-1, m).sum(axis=0)
-
-    line_values, line_errors, line_evals = per_line(values), per_line(errors), per_line(evals)
+    line_values = values.reshape(-1, m, k).sum(axis=0)
+    line_errors = errors.reshape(-1, m).sum(axis=0)
+    line_evals = evals.reshape(-1, m).sum(axis=0)
     if failed.any():
         j = int(np.flatnonzero(failed)[np.argmin(seg_line[failed])])
         i = int(seg_line[j])
+        partial = line_values[i] if k > 1 else complex(line_values[i, 0])
         raise NoConvergence(
             f"line integral did not converge after {splits[j]} subdivisions of its "
-            f"{_SEGMENT_NAMES[kind[j]]} (error estimate {errors[j]:.3e})",
-            partial=QuadResult(complex(line_values[i]), float(line_errors[i]), int(line_evals[i])),
+            f"{labels[j // m]} (error estimate {errors[j]:.3e})",
+            partial=QuadResult(partial, float(line_errors[i]), int(line_evals[i])),
             node=i,
         )
-    return line_values, line_errors, line_evals
+    return (line_values if k > 1 else line_values[:, 0]), line_errors, line_evals
+
+
+def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails: bool = False):
+    """Adaptively integrate m integrands at once.
+
+    ``f(x, line)`` receives abscissae x of shape (r, 15) and the integer
+    line index of each row, shape (r, 1), and returns values shaped like
+    x, or x.shape + (k,) for a vector-valued integrand of k components.
+    Line i is integrated over the window [lo[i], hi[i]] (a window with
+    hi <= lo is empty and adds zero); ``seeds`` is an (m, s) array of
+    initial break points, NaN or out-of-window entries ignored.  With
+    ``tails`` each line also gets the half-lines beyond lo and hi, mapped
+    as in integrate_half_line_multi with scale max(|edge|, 10).
+
+    Each window and each tail is its own integral: converged when its
+    summed panel error (max-norm over components) is at most
+    max(abs_tol, rel_tol * max_k |value_k|).  A window may split
+    cfg.max_subdivisions times (its seeds count), a tail
+    min(cfg.max_subdivisions, 50) times.  A line fails in a batch exactly
+    when it fails alone.
+
+    Returns (values (m,) or (m, k), error estimates (m,), evaluations
+    (m,)); values are scalar zeros when no window has a panel.  Raises
+    NoConvergence for the lowest failing line, with ``.node`` its index
+    and ``.partial`` its QuadResult (whose value holds the k components
+    of a vector-valued integrand).
+    """
+    cfg = cfg or QuadConfig()
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    m = lo.size
+    seg, a, b = _initial_panels(lo, hi, seeds)
+    if not tails:
+        zero = np.zeros(m)
+        return _refine(f, m, seg, a, b, zero, zero, np.full(m, cfg.max_subdivisions), cfg, ("window",))
+    # Windows first, then the left and right tails.
+    edge = np.concatenate([np.zeros(m), lo, hi])
+    step = np.concatenate([np.zeros(m), -np.maximum(np.abs(lo), 10.0), np.maximum(np.abs(hi), 10.0)])
+    tail_budget = min(cfg.max_subdivisions, _TAIL_SUBDIVISIONS)
+    budget = np.repeat([cfg.max_subdivisions, tail_budget, tail_budget], m)
+    seg = np.concatenate([seg, np.arange(m, 3 * m)])
+    a = np.concatenate([a, np.zeros(2 * m)])
+    b = np.concatenate([b, np.ones(2 * m)])
+    return _refine(f, m, seg, a, b, edge, step, budget, cfg, ("window", "left tail", "right tail"))
+
+
+def integrate_half_line_multi(f, edge, direction, scale, cfg: QuadConfig | None = None):
+    """Integrate m integrands over half-lines at once.
+
+    Line i covers (edge[i], +inf) for direction[i] = +1 and
+    (-inf, edge[i]) for -1, mapped onto u in (0, 1] by
+    u = scale / (scale + |x - edge|); edge, direction and scale broadcast.
+    ``f`` is called as in integrate_lines and may be vector-valued; it
+    must decay at least like 1/x^2.  Each line is its own integral with
+    integrate_lines' rule and a budget of cfg.max_subdivisions.
+
+    Returns (values (m,) or (m, k), error estimates (m,), total
+    evaluations as one int).  NoConvergence names the lowest failing line
+    in ``.node``.
+    """
+    cfg = cfg or QuadConfig()
+    edge, direction, scale = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (edge, direction, scale))
+    )
+    if np.any(np.abs(direction) != 1.0):
+        raise ValueError("direction must be +1 or -1")
+    m = edge.size
+    budget = np.full(m, cfg.max_subdivisions)
+    values, errors, evals = _refine(
+        f, m, np.arange(m), np.zeros(m), np.ones(m), edge, direction * scale, budget, cfg,
+        ("half-line",),
+    )
+    return values, errors, int(evals.sum())
 
 
 def trapezoid_weights(grid: FrequencyGrid) -> np.ndarray:

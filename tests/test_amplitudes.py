@@ -52,7 +52,7 @@ def test_linear_parts_match_literal_rational_form():
     k, wc = params.kappa, params.omega_c
     w1 = rng.uniform(-6, 6, 7)
     w2 = rng.uniform(-6, 6, 9)
-    ll, lr, rr = linear_parts(w1, w2, inp, params)
+    ll, lr, rr = linear_parts(w1[:, None], w2[None, :], inp, params)
     for i in range(7):
         for j in range(9):
             a, b = w1[i], w2[j]

@@ -72,7 +72,7 @@ def test_ladder_and_tail_oracle_with_different_centres():
     # must equal the ladder's amplitudes.
     grid = FrequencyGrid(-4.0, 4.0, 9)
     ga = channel_matrices(grid, inp, params)
-    dens = _block_densities(grid.points, grid.points, inp, params, True, True)
+    dens = _block_densities(grid.points[:, None], grid.points[None, :], inp, params, True, True)
     for got, amp in zip(dens, (ga.ll, ga.lr, ga.rr)):
         np.testing.assert_allclose(got, np.abs(amp) ** 2, rtol=1e-9, atol=1e-15)
 

@@ -19,7 +19,9 @@ from photonsim.quadrature import (
     convolve_g,
     integrate_grid_2d,
     integrate_half_line,
+    integrate_half_line_multi,
     integrate_line,
+    integrate_lines,
 )
 
 
@@ -68,6 +70,74 @@ def test_half_line_map():
     assert res.value.real == pytest.approx(1.0, abs=1e-10)
     res = integrate_half_line(lambda x: 1.0 / x**2, -1.0, -1, 5.0, QuadConfig())
     assert res.value.real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_vector_half_lines_both_directions():
+    # [x^-2, x^-4] beyond +1 and below -1 integrate to [1, 1/3]; x^-3
+    # flips sign with the direction.
+    def f(x, line):
+        return np.stack([x**-2, x**-4, x**-3], axis=-1)
+
+    values, errors, evals = integrate_half_line_multi(f, [1.0, -1.0], [1, -1], 5.0)
+    assert values.shape == (2, 3)
+    np.testing.assert_allclose(values.real, [[1.0, 1 / 3, 0.5], [1.0, 1 / 3, -0.5]], atol=1e-10)
+    assert np.all(errors <= 1e-8)
+    assert isinstance(evals, int) and evals >= 30
+
+
+def lorentz_pair(centres):
+    def f(x, line):
+        c = centres[line]
+        return np.stack([1.0 / (1.0 + (x - c) ** 2), np.exp(-np.abs(x - c)) / (1.0 + x**2)], axis=-1)
+
+    return f
+
+
+def test_batched_lines_match_lines_run_alone():
+    # Refinement decisions for one integral never look at the others, so
+    # each line takes the same panels in a batch as alone.
+    centres = np.array([0.5, 1.0, 3.0, 7.0, 0.2])
+    f = lorentz_pair(centres)
+    edge, direction = [1.0, -1.0, 2.0, -3.0, 0.5], [1, -1, 1, -1, 1]
+    values, errors, evals = integrate_half_line_multi(f, edge, direction, 5.0)
+    total = 0
+    for i in range(5):
+        alone = lorentz_pair(centres[i:])
+        v, e, n = integrate_half_line_multi(alone, edge[i], direction[i], 5.0)
+        np.testing.assert_allclose(v[0], values[i], rtol=1e-14, atol=0)
+        assert e[0] == pytest.approx(errors[i], rel=1e-12)
+        total += n
+    assert total == evals
+    lo, hi, seeds = [-2.0, 35.0, 0.0], [3.0, 50.0, 1.0], [[0.5], [40.0], [0.2]]
+    values, errors, evals = integrate_lines(f, lo, hi, seeds=seeds, tails=True)
+    for i in range(3):
+        alone = lorentz_pair(centres[i:])
+        v, e, n = integrate_lines(alone, lo[i], hi[i], seeds=[seeds[i]], tails=True)
+        np.testing.assert_allclose(v[0], values[i], rtol=1e-14, atol=0)
+        assert n[0] == evals[i]
+    # Windows plus tails cover the whole line: pi for the first component.
+    np.testing.assert_allclose(values[:, 0].real, np.pi, atol=1e-9)
+
+
+def test_half_line_no_convergence_names_lowest_failing_line():
+    # With scale = edge = 1, x^-2 maps to a constant in u and converges on
+    # one panel; the kink of exp(-|x - 3|) cannot meet 1e-13 in 4 splits.
+    cfg = QuadConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=4)
+    hard = np.array([False, False, True, False, True])
+
+    def f(x, line):
+        return np.where(hard[line], np.exp(-np.abs(x - 3.0)), x**-2)[..., None] * [1.0, 2.0]
+
+    with pytest.raises(NoConvergence) as exc_info:
+        integrate_half_line_multi(f, np.ones(5), 1, 1.0, cfg)
+    exc = exc_info.value
+    assert exc.node == 2
+    assert "half-line" in str(exc)
+    assert exc.partial.value.shape == (2,)
+    assert exc.partial.value[1] == pytest.approx(2.0 * exc.partial.value[0])
+    assert exc.partial.abs_error_estimate > 0 and exc.partial.evaluations > 0
+    values, _, _ = integrate_half_line_multi(f, np.ones(5), 1, 1.0, QuadConfig())
+    np.testing.assert_allclose(values[~hard].real, [[1.0, 2.0]] * 3, atol=1e-12)
 
 
 def test_grid_2d_constant():
