@@ -12,6 +12,9 @@ outer half-lines whose integrand integrates the inner half-line of
 every outer node as one more batch.  The result is a full-plane integral
 rather than a windowed one, which is what makes probability
 conservation meaningful at practical window sizes.
+
+Window sums (quadrature.integrate_grid_2d) and strip sums (einsum) avoid
+OpenBLAS's threaded sizes, whose idle spin doubled a Lorentzian op's CPU.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .oracle import residue_j
 # perfbench/tracing.py patches it.
 from .quadrature import (
     QuadConfig,
+    integrate_grid_2d,
     integrate_half_line_multi,
     integrate_lines,
     trapezoid_weights,
@@ -153,7 +157,7 @@ def _tail_corrections(inp, params, grid, include_conv, conv_exact):
             if sel.any():
                 xs = x[sel].reshape(-1, 1)
                 dens = densities(xs, w) if beyond_first else densities(w, xs)
-                out[sel] = np.stack([d @ wt for d in dens], axis=-1).reshape(-1, 15, 3)
+                out[sel] = np.stack([np.einsum("ij,j->i", d, wt) for d in dens], axis=-1).reshape(-1, 15, 3)
         return out
 
     sides = np.repeat([0, 1], 2)
@@ -192,9 +196,7 @@ def _conv_strip_bound(conv, grid) -> float:
         return 0.0
     wt = trapezoid_weights(grid)
     dens = np.abs(conv) ** 2
-    edge = float(
-        dens[0] @ wt + dens[-1] @ wt + wt @ dens[:, 0] + wt @ dens[:, -1]
-    )
+    edge = float(wt @ (dens[0] + dens[-1] + dens[:, 0] + dens[:, -1]))
     half_width = 0.5 * (grid.max - grid.min)
     return edge * half_width / 3.0
 
@@ -209,11 +211,9 @@ def _trapezoid_refinement_error(dens, grid) -> float:
         grid = FrequencyGrid(grid.min, grid.max - grid.spacing, grid.n - 1)
     if grid.n < 5:
         return 0.0
-    wt = trapezoid_weights(grid)
-    fine = float(wt @ dens @ wt)
     sub = FrequencyGrid(grid.min, grid.max, (grid.n - 1) // 2 + 1)
-    ws = trapezoid_weights(sub)
-    coarse = float(ws @ dens[::2, ::2] @ ws)
+    fine = integrate_grid_2d(dens, grid, grid).real
+    coarse = integrate_grid_2d(dens[::2, ::2], sub, sub).real
     return abs(fine - coarse) / 3.0
 
 
@@ -243,14 +243,14 @@ def probabilities(
         # shapes and channels, so the split is exact.
         return ScatteringProbabilities(p_ll=0.0, p_lr=1.0, p_rr=0.0, total=1.0, est_error=0.0)
     ga = channel_matrices(grid, inp, params, cfg, threads, include_convolution)
-    wt = trapezoid_weights(grid)
 
     def win2(m):
-        return float(wt @ m @ wt)
+        return integrate_grid_2d(m, grid, grid).real
 
-    dens_ll = np.abs(ga.ll) ** 2
-    dens_lr = np.abs(ga.lr) ** 2
-    dens_rr = np.abs(ga.rr) ** 2
+    # |T| once per channel, squared in place after quad_err (keeps peak memory flat).
+    abs_ll, abs_lr, abs_rr = np.abs(ga.ll), np.abs(ga.lr), np.abs(ga.rr)
+    quad_err = win2(2.0 * (0.5 * abs_ll + abs_lr + 0.5 * abs_rr) * ga.point_err)
+    dens_ll, dens_lr, dens_rr = (np.square(a, out=a) for a in (abs_ll, abs_lr, abs_rr))
     if use_shortcut is None:
         use_shortcut = inp.identical
     if use_shortcut:
@@ -296,12 +296,7 @@ def probabilities(
     p_lr += tails[1]
     p_rr += 0.5 * tails[2]
 
-    quad_err = float(
-        wt @ (2.0 * (0.5 * np.abs(ga.ll) + np.abs(ga.lr) + 0.5 * np.abs(ga.rr)) * ga.point_err) @ wt
-    )
-    trapz_err = sum(
-        _trapezoid_refinement_error(d, grid) for d in (dens_ll, dens_lr, dens_rr)
-    )
+    trapz_err = sum(_trapezoid_refinement_error(d, grid) for d in (dens_ll, dens_lr, dens_rr))
     est_error = quad_err + trapz_err + strip_err + model_err
 
     total = p_ll + p_lr + p_rr

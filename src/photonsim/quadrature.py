@@ -1,10 +1,10 @@
 """Complex-valued numerical integration.
 
 Adaptive Gauss-Kronrod (7/15 embedded pair) line integrals drive the
-nonlinear convolution; plain tensor trapezoid rules handle the outer 2D
-integrals, which reuse one uniform grid across emission, spectral
-analysis, and probabilities.  All routines are stateless; integrand
-closures must be pure and accept ndarray arguments.
+nonlinear convolution; one tensor trapezoid rule (``integrate_grid_2d``)
+handles the outer 2D integrals, which reuse one uniform grid across
+emission, spectral analysis, and probabilities.  All routines are
+stateless; integrand closures must be pure and accept ndarray arguments.
 
 One batched adaptive engine does the production integrals.
 ``integrate_lines`` (windows, optionally with mapped tails) and
@@ -21,12 +21,18 @@ the probabilities and the single-photon channel masses run on it.
 integral, worst panel first, with the same rule; they serve the
 pointwise ``convolve_g`` that the residue oracle checks, as a path
 independent of the engine, and the whole-line single-photon norm.
+
+Every contraction on the probabilities path stays on one core: after a
+threaded call OpenBLAS's second worker spins for about 0.1 s, which made
+a Lorentzian ``probabilities`` op cost twice its wall time in CPU.
+``integrate_grid_2d`` sums on numpy's own loops, and the engine's weight
+product stays below OpenBLAS's threaded sizes (see ``_BLOCK``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,10 +86,11 @@ _GAUSS_WEIGHTS = np.array(
 )
 
 _NODES = np.concatenate([-_KRONROD_NODES[:-1], _KRONROD_NODES[::-1]])  # ascending, 15
-_WK = np.concatenate([_KRONROD_WEIGHTS[:-1], _KRONROD_WEIGHTS[::-1]])
-# Gauss-7 nodes sit at the odd Kronrod positions.
-_GAUSS_IDX = np.arange(1, 15, 2)
-_WG = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
+# Weights (15, 2): column 0 applies the Kronrod rule, column 1 the
+# embedded Gauss rule, whose 7 nodes sit at the odd Kronrod positions.
+_WKG = np.zeros((15, 2))
+_WKG[:, 0] = np.concatenate([_KRONROD_WEIGHTS[:-1], _KRONROD_WEIGHTS[::-1]])
+_WKG[1::2, 1] = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,8 @@ def _gk_panel(f, a: float, b: float):
     """One Gauss-Kronrod 7/15 panel; returns (value, error_estimate)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fx = np.asarray(f(c + h * _NODES))
-    val = h * np.sum(_WK * fx)
-    err = abs(val - h * np.sum(_WG * fx[_GAUSS_IDX]))
-    return complex(val), float(err)
+    kron, gauss = h * (np.asarray(f(c + h * _NODES)) @ _WKG)
+    return complex(kron), float(abs(kron - gauss))
 
 
 def integrate_line(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=()) -> QuadResult:
@@ -189,7 +194,9 @@ def integrate_half_line(f, edge: float, direction: int, scale: float, cfg: QuadC
 # Panels per integrand call in the batched engine.  It bounds the
 # (block, 15) node and value arrays; larger blocks were no faster and
 # raised peak memory (4096 panels: +27% resident set on a tabulated-pulse
-# fill).
+# fill).  It also keeps the (_BLOCK * k, 15) @ (15, 2) weight product of
+# k <= 3 components below OpenBLAS's gemm threading cutoff (768 rows run
+# on one core, 3840 on two); test_probabilities_runs_on_one_core guards it.
 _BLOCK = 256
 
 # The ladder's half-line tails get a small fixed budget: their mapped
@@ -242,8 +249,8 @@ def _gk_blocks(f, seg, a, b, seg_line, edge, step):
             k = fx.shape[2]
             fx = fx.transpose(0, 2, 1).reshape(-1, 15)
             h = np.repeat(h, k)
-        kron = h * (fx @ _WK)
-        diff = np.abs(kron - h * (fx[:, _GAUSS_IDX] @ _WG))
+        kron, gauss = (h[:, None] * (fx @ _WKG)).T
+        diff = np.abs(kron - gauss)
         if val is None:
             val = np.empty((seg.size, k), dtype=complex)
         val[sl] = kron.reshape(-1, k)
@@ -420,7 +427,8 @@ def trapezoid_weights(grid: FrequencyGrid) -> np.ndarray:
 
 
 def integrate_grid_2d(values: np.ndarray, grid1: FrequencyGrid, grid2: FrequencyGrid) -> complex:
-    """Tensor composite trapezoid rule over grid1 x grid2."""
+    """Tensor composite trapezoid rule over grid1 x grid2; the row sums
+    run on numpy's own loops (einsum without ``optimize`` never calls BLAS)."""
     values = np.asarray(values)
     if values.shape != (grid1.n, grid2.n):
         raise ShapeMismatch(
@@ -428,7 +436,7 @@ def integrate_grid_2d(values: np.ndarray, grid1: FrequencyGrid, grid2: Frequency
         )
     w1 = trapezoid_weights(grid1)
     w2 = trapezoid_weights(grid2)
-    return complex(w1 @ values @ w2)
+    return complex(w1 @ np.einsum("ij,j->i", values, w2))
 
 
 def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig):
@@ -502,9 +510,7 @@ def _line_with_tails(integrand, lo: float, hi: float, seeds, compact: bool, cfg:
     res = integrate_line(integrand, lo, hi, cfg, seeds=seeds)
     if compact:
         return res
-    tail_cfg = QuadConfig(
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_subdivisions=min(cfg.max_subdivisions, 50)
-    )
+    tail_cfg = replace(cfg, max_subdivisions=min(cfg.max_subdivisions, _TAIL_SUBDIVISIONS))
     scale_lo = max(abs(lo), 10.0)
     scale_hi = max(abs(hi), 10.0)
     left = integrate_half_line(integrand, lo, -1, scale_lo, tail_cfg)

@@ -21,7 +21,7 @@ from .observables import (
     single_photon_probabilities,
 )
 from .oracle import compare_on_grid, residue_j
-from .quadrature import trapezoid_weights
+from .quadrature import integrate_grid_2d
 from .amplitudes import channel_matrices
 
 
@@ -93,16 +93,15 @@ def _check_coupling_limits(quick):
     from .model import pulse_amplitude
 
     grid = FrequencyGrid(-12.0, 12.0, 60 if quick else 120)
-    wt = trapezoid_weights(grid)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(2.0))
     xi_l = pulse_amplitude(inp.left, grid.points)
     xi_r = pulse_amplitude(inp.right, grid.points)
     # weak coupling: coincidence amplitude reverts to the input product
     ga = channel_matrices(grid, inp, NetworkParams(1e-4, 0.0))
-    dev_weak = float(wt @ np.abs(ga.lr - np.outer(xi_l, xi_r)) ** 2 @ wt)
+    dev_weak = integrate_grid_2d(np.abs(ga.lr - np.outer(xi_l, xi_r)) ** 2, grid, grid).real
     # strong coupling: photons swap channels, T_LR -> xi_L(w2) xi_R(w1)
     ga = channel_matrices(grid, inp, NetworkParams(100.0, 0.0))
-    dev_strong = float(wt @ np.abs(ga.lr - np.outer(xi_r, xi_l)) ** 2 @ wt)
+    dev_strong = integrate_grid_2d(np.abs(ga.lr - np.outer(xi_r, xi_l)) ** 2, grid, grid).real
     return max(dev_weak / 1e-3, dev_strong / 1e-2), 1.0, "weak/strong coupling limit distances (scaled)"
 
 

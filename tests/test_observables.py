@@ -1,6 +1,8 @@
 """Tests for probabilities, conservation, coincidence scans, spectral
 decomposition, and the single-photon observables."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,17 @@ def test_probabilities_reports_error_estimate():
     p = probabilities(IDENTICAL, NetworkParams(1.5, 0.0), GRID)
     assert p.est_error > 0
     assert np.isfinite(p.est_error)
+
+
+def test_probabilities_runs_on_one_core():
+    # A matrix product in OpenBLAS's threaded sizes leaves its second
+    # worker spinning for about 0.1 s, which doubles the CPU time of the
+    # op without making it faster.  Distinct pulses with a detuned cavity
+    # take the swap path, the out-of-window tails and the vector-valued
+    # Gauss-Kronrod blocks.  Host steal only inflates wall time.
+    inp = TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))
+    time.sleep(0.3)  # let workers woken by earlier tests go idle
+    cpu, wall = time.process_time(), time.perf_counter()
+    probabilities(inp, NetworkParams(0.7, -1.3), FrequencyGrid(-40.0, 40.0, 801))
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.25 * wall

@@ -22,6 +22,7 @@ from photonsim.quadrature import (
     integrate_half_line_multi,
     integrate_line,
     integrate_lines,
+    trapezoid_weights,
 )
 
 
@@ -154,6 +155,15 @@ def test_grid_2d_separable_factorizes():
     lhs = integrate_grid_2d(np.outer(f, g), g1, g2)
     rhs = np.trapezoid(f, g1.points) * np.trapezoid(g, g2.points)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+    # A strided real input on the every-second-point sub-grid and a full
+    # 801 x 801 complex one agree with the plain matrix products.
+    wide = FrequencyGrid(-40.0, 40.0, 801)
+    m = rng.normal(size=(801, 801))
+    sub = FrequencyGrid(-40.0, 40.0, 401)
+    for values, grid in ((m[::2, ::2], sub), (m + 1j * rng.normal(size=(801, 801)), wide)):
+        w = trapezoid_weights(grid)
+        want = w @ values @ w
+        assert abs(integrate_grid_2d(values, grid, grid) - want) <= 1e-13 * abs(want)
 
 
 def test_grid_2d_lorentzian_product_mass():
