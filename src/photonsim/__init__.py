@@ -5,6 +5,7 @@ from .amplitudes import (
     Channel,
     JointAmplitude,
     amplitude_grid,
+    amplitudes_at,
     channel_matrices,
     t_ll,
     t_lr,

@@ -2,13 +2,14 @@
 
 Each output channel pair (LL, LR, RR) has an amplitude built from two
 single-photon scattering products plus one shared nonlinear convolution
-term.  The convolution depends on the evaluation node only through
-omega1 + omega2; grid fills therefore compute one adaptive integral per
-distinct frequency sum (2n - 1 of them on an n-point shared grid) and
-the three channels reuse the same ladder.  The ladder is one batched
-Gauss-Kronrod run (quadrature.j_lines) that refines all rungs together
-in vectorised sweeps, in a single thread; the ``threads`` parameters
-below are accepted for call compatibility and ignored.
+term.  ``assemble`` is the one place that adds prefactor * J, with J the
+reduced convolution at omega1 + omega2, to the linear parts: grid fills
+feed it one batched Gauss-Kronrod ladder (quadrature.j_lines) with one
+rung per distinct frequency sum, 2n - 1 on an n-point grid;
+amplitudes_at and t_ll/t_lr/t_rr one rung per point; the out-of-window
+integrals in observables the closed-form oracle.residue_j.
+t_lr_identical keeps its own rational form on the pointwise convolve_g
+as an independent second path.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .kernels import theta_arrays
@@ -67,71 +69,27 @@ class JointAmplitude:
         object.__setattr__(self, "values", values)
 
 
-def _conv_term(omega1: float, omega2: float, inp, params, cfg) -> complex:
-    """Channel-independent convolution term including its prefactor."""
-    if params.kappa == 0.0:
-        return 0.0j
-    k = params.kappa
-    wc = params.omega_c
-    pref = 2.0 * math.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
-    return pref * convolve_g(omega1, omega2, inp, params, cfg).value
-
-
 def t_ll(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
     """Both photons in the left output channel."""
-    cfg = cfg or QuadConfig()
-    if params.kappa == 0.0:
-        return 0.0j
-    k, wc = params.kappa, params.omega_c
-    d = (omega1 + wc - 2j * k) * (omega2 + wc - 2j * k)
-    lin = (
-        pulse_amplitude(inp.left, omega1) * pulse_amplitude(inp.right, omega2)
-        * (2j * k * (omega1 + wc)) / d
-        + pulse_amplitude(inp.left, omega2) * pulse_amplitude(inp.right, omega1)
-        * (2j * k * (omega2 + wc)) / d
-    )
-    return lin + _conv_term(omega1, omega2, inp, params, cfg)
+    return complex(amplitudes_at(omega1, omega2, inp, params, cfg).ll[0])
 
 
 def t_lr(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
     """One photon in each output channel (omega1 on the left)."""
-    cfg = cfg or QuadConfig()
-    if params.kappa == 0.0:
-        return complex(
-            pulse_amplitude(inp.left, omega1) * pulse_amplitude(inp.right, omega2)
-        )
-    k, wc = params.kappa, params.omega_c
-    d = (omega1 + wc - 2j * k) * (omega2 + wc - 2j * k)
-    lin = (
-        pulse_amplitude(inp.left, omega1) * pulse_amplitude(inp.right, omega2)
-        * ((omega1 + wc) * (omega2 + wc)) / d
-        - pulse_amplitude(inp.left, omega2) * pulse_amplitude(inp.right, omega1)
-        * (2.0 * k) ** 2 / d
-    )
-    return lin + _conv_term(omega1, omega2, inp, params, cfg)
+    return complex(amplitudes_at(omega1, omega2, inp, params, cfg).lr[0])
 
 
 def t_rr(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
     """Both photons in the right output channel."""
-    cfg = cfg or QuadConfig()
-    if params.kappa == 0.0:
-        return 0.0j
-    k, wc = params.kappa, params.omega_c
-    d = (omega1 + wc - 2j * k) * (omega2 + wc - 2j * k)
-    lin = (
-        pulse_amplitude(inp.left, omega1) * pulse_amplitude(inp.right, omega2)
-        * (2j * k * (omega2 + wc)) / d
-        + pulse_amplitude(inp.left, omega2) * pulse_amplitude(inp.right, omega1)
-        * (2j * k * (omega1 + wc)) / d
-    )
-    return lin + _conv_term(omega1, omega2, inp, params, cfg)
+    return complex(amplitudes_at(omega1, omega2, inp, params, cfg).rr[0])
 
 
 def t_lr_identical(omega1: float, omega2: float, pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
     """Specialized coincidence amplitude for identical input pulses.
 
     Algebraically equal to t_lr with both channels fed the same pulse;
-    kept separate so the two forms can cross-check each other.
+    the independent second path: its own rational form and channel
+    factor on the pointwise convolve_g instead of assemble on j_lines.
     """
     cfg = cfg or QuadConfig()
     inp = TwoPhotonInput(pulse, pulse)
@@ -145,7 +103,8 @@ def t_lr_identical(omega1: float, omega2: float, pulse: PulseSpec, params: Netwo
         * ((omega1 + wc) * (omega2 + wc) - (2.0 * k) ** 2)
         / d
     )
-    return lin + _conv_term(omega1, omega2, inp, params, cfg)
+    pref = 2.0 * math.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
+    return lin + pref * convolve_g(omega1, omega2, inp, params, cfg).value
 
 
 def scattered_components(pulse: PulseSpec, omegas: np.ndarray, params: NetworkParams):
@@ -187,8 +146,8 @@ def linear_parts(w1: np.ndarray, w2: np.ndarray, inp: TwoPhotonInput, params: Ne
 
 @dataclass(frozen=True)
 class GridAssembly:
-    """All three channel matrices on a shared grid plus the convolution
-    term and its pointwise error estimate."""
+    """All three channel amplitudes at broadcast pairs plus the
+    convolution term and its pointwise error estimate."""
 
     ll: np.ndarray
     lr: np.ndarray
@@ -197,12 +156,41 @@ class GridAssembly:
     point_err: np.ndarray
 
 
+def assemble(w1, w2, inp: TwoPhotonInput, params: NetworkParams, j=None, j_err=None) -> GridAssembly:
+    """The three channel amplitudes at the broadcast pairs (w1, w2) (see
+    linear_parts): the linear parts plus the prefactor times ``j``, the
+    reduced convolution at w1 + w2, whose error estimate is ``j_err``.
+    j = None drops the convolution term.  The term is added in place to
+    the fresh linear parts, which keeps peak memory of a grid fill flat.
+    """
+    ll, lr, rr = linear_parts(w1, w2, inp, params)
+    if j is None:
+        return GridAssembly(ll, lr, rr, None, np.zeros(np.shape(ll)))
+    conv = _combined_conv_prefactor(w1, w2, params)
+    point_err = np.zeros(conv.shape) if j_err is None else np.abs(conv) * j_err
+    conv *= j
+    ll += conv
+    lr += conv
+    rr += conv
+    return GridAssembly(ll, lr, rr, conv, point_err)
+
+
+def amplitudes_at(w1, w2, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> GridAssembly:
+    """All three channel amplitudes at the broadcast pairs (w1, w2), with
+    one j_lines rung per pair; scalars come back as 1-element arrays."""
+    w1, w2 = np.atleast_1d(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
+    if params.kappa == 0.0:
+        return assemble(w1, w2, inp, params)
+    sums = w1 + w2
+    j, j_err, _ = j_lines(sums.ravel(), inp, params, cfg)
+    return assemble(w1, w2, inp, params, j.reshape(sums.shape), j_err.reshape(sums.shape))
+
+
 def channel_matrices(
     grid: FrequencyGrid,
     inp: TwoPhotonInput,
     params: NetworkParams,
     cfg: QuadConfig | None = None,
-    threads: int | None = None,
     include_convolution: bool = True,
 ) -> GridAssembly:
     """All three amplitude matrices on grid x grid with one shared
@@ -211,24 +199,19 @@ def channel_matrices(
     The linear terms are assembled from single-photon scattering
     products, which equals the direct rational form up to rounding; with
     identical input pulses the LL and RR matrices come out bitwise equal.
-    ``threads`` is ignored (the ladder runs in one vectorised thread).
     NoConvergence from the ladder sets ``.node`` to the lowest failing
     rung, whose frequency sum is that of the nodes (i, j) with
     i + j = node.
     """
-    cfg = cfg or QuadConfig()
     w = grid.points
-    ll, lr, rr = linear_parts(w[:, None], w[None, :], inp, params)
+    j = j_err = None
     if include_convolution and params.kappa != 0.0:
-        # Rung i + j holds the frequency sum of node (i, j).
+        # Rung i + j holds the frequency sum of node (i, j); the sliding
+        # windows index the ladder that way without copying it.
         sums = 2.0 * grid.min + grid.spacing * np.arange(2 * grid.n - 1)
         j_values, j_errors, _ = j_lines(sums, inp, params, cfg)
-        idx = np.add.outer(np.arange(grid.n), np.arange(grid.n))
-        pref = _combined_conv_prefactor(w[:, None], w[None, :], params)
-        conv = pref * j_values[idx]
-        point_err = np.abs(pref) * j_errors[idx]
-        return GridAssembly(ll + conv, lr + conv, rr + conv, conv, point_err)
-    return GridAssembly(ll, lr, rr, None, np.zeros((grid.n, grid.n)))
+        j, j_err = (sliding_window_view(a, grid.n) for a in (j_values, j_errors))
+    return assemble(w[:, None], w[None, :], inp, params, j, j_err)
 
 
 def amplitude_grid(
@@ -237,11 +220,10 @@ def amplitude_grid(
     inp: TwoPhotonInput,
     params: NetworkParams,
     cfg: QuadConfig | None = None,
-    threads: int | None = None,
 ) -> JointAmplitude:
     """Fill one channel's amplitude matrix over grid x grid."""
     channel = Channel(channel) if not isinstance(channel, Channel) else channel
-    ga = channel_matrices(grid, inp, params, cfg, threads)
+    ga = channel_matrices(grid, inp, params, cfg)
     values = {Channel.LL: ga.ll, Channel.LR: ga.lr, Channel.RR: ga.rr}[channel]
     return JointAmplitude(
         channel=channel,

@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .amplitudes import Channel, amplitude_grid
 from .errors import NoConvergence, PhotonSimError, ValidationError, WindowTooNarrow
@@ -257,7 +255,7 @@ def cmd_amplitudes(ns) -> int:
     params = _params(ns)
     grid = _parse_grid(ns["grid"])
     cfg = _quad_config(ns)
-    amp = amplitude_grid(Channel(ns["channel"]), grid, inp, params, cfg, threads=ns.get("threads"))
+    amp = amplitude_grid(Channel(ns["channel"]), grid, inp, params, cfg)
     if ns.get("format") == "json":
         payload = {
             "channel": ns["channel"],
@@ -288,7 +286,7 @@ def cmd_probabilities(ns) -> int:
     params = _params(ns)
     grid = _parse_grid(ns["grid"])
     cfg = _quad_config(ns)
-    p = probabilities(inp, params, grid, cfg, threads=ns.get("threads"))
+    p = probabilities(inp, params, grid, cfg)
     payload = {
         "p_ll": p.p_ll,
         "p_lr": p.p_lr,
@@ -311,7 +309,7 @@ def cmd_hom(ns) -> int:
     pulse = LorentzianPulse(ns["gamma"], ns["omega_o"])
     grid = _parse_grid(ns["grid"])
     cfg = _quad_config(ns)
-    rows = hom_scan(kappas, ns["ratio"], pulse, grid, cfg, threads=ns.get("threads"))
+    rows = hom_scan(kappas, ns["ratio"], pulse, grid, cfg)
     lines = _metadata_lines(ns)
     lines.append("kappa,omega_c,p_lr,p_ll,p_rr")
     for r in rows:
@@ -325,7 +323,7 @@ def cmd_schmidt(ns) -> int:
     params = _params(ns)
     grid = _parse_grid(ns["grid"])
     cfg = _quad_config(ns)
-    amp = amplitude_grid(Channel(ns["channel"]), grid, inp, params, cfg, threads=ns.get("threads"))
+    amp = amplitude_grid(Channel(ns["channel"]), grid, inp, params, cfg)
     report = schmidt_report(amp)
     payload = {
         "channel": ns["channel"],
@@ -343,7 +341,7 @@ def cmd_schmidt(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    report = run_verify(quick=bool(ns.get("quick")), threads=ns.get("threads"))
+    report = run_verify(quick=bool(ns.get("quick")))
     width = max(len(c["name"]) for c in report["checks"])
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"

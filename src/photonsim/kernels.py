@@ -34,7 +34,13 @@ class LinearResponse:
 
 
 def theta(omega: float, params: NetworkParams) -> LinearResponse:
-    """Linear response at frequency ``omega``.
+    """Linear response at frequency ``omega``: theta_arrays at one point."""
+    t1, t2 = theta_arrays(omega, params)
+    return LinearResponse(complex(t1), complex(t2))
+
+
+def theta_arrays(omegas: np.ndarray, params: NetworkParams):
+    """Linear response (theta1, theta2) over an array of real frequencies.
 
     theta1 = (w + omega_c) / (w + omega_c - 2i*kappa)
     theta2 = 2i*kappa / (w + omega_c - 2i*kappa)
@@ -43,14 +49,6 @@ def theta(omega: float, params: NetworkParams) -> LinearResponse:
     branch returning (1, 0) so the 0/0 at omega = -omega_c resolves to the
     correct decoupled limit.
     """
-    if params.kappa == 0.0:
-        return LinearResponse(1.0 + 0.0j, 0.0j)
-    den = omega + params.omega_c - 2j * params.kappa
-    return LinearResponse((omega + params.omega_c) / den, 2j * params.kappa / den)
-
-
-def theta_arrays(omegas: np.ndarray, params: NetworkParams):
-    """Vectorized (theta1, theta2) over an array of real frequencies."""
     omegas = np.asarray(omegas, dtype=float)
     if params.kappa == 0.0:
         return np.ones(omegas.shape, dtype=complex), np.zeros(omegas.shape, dtype=complex)

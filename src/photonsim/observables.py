@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    Channel,
-    JointAmplitude,
-    _combined_conv_prefactor,
-    channel_matrices,
-    linear_parts,
-)
+# perfbench/tracing.py patches channel_matrices and linear_parts at this import site.
+from .amplitudes import JointAmplitude, assemble, channel_matrices, linear_parts  # noqa: F401
 from .errors import ValidationError, WindowTooNarrow, ZeroAmplitude
 from .kernels import theta_arrays
 from .model import (
@@ -113,21 +108,12 @@ def _block_densities(w1, w2, inp, params, include_conv, conv_exact):
     linear_parts), using the closed-form convolution when available."""
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    ll, lr, rr = linear_parts(w1, w2, inp, params)
+    j = None
     if include_conv and conv_exact and params.kappa > 0.0:
-        pref = _combined_conv_prefactor(w1, w2, params)
-        conv = pref * residue_j(
-            w1 + w2,
-            inp.left.gamma,
-            inp.right.gamma,
-            inp.left.omega_o,
-            params,
-            omega_o_r=inp.right.omega_o,
-        )
-        ll = ll + conv
-        lr = lr + conv
-        rr = rr + conv
-    return np.abs(ll) ** 2, np.abs(lr) ** 2, np.abs(rr) ** 2
+        left, right = inp.left, inp.right
+        j = residue_j(w1 + w2, left.gamma, right.gamma, left.omega_o, params, omega_o_r=right.omega_o)
+    ga = assemble(w1, w2, inp, params, j)
+    return np.abs(ga.ll) ** 2, np.abs(ga.lr) ** 2, np.abs(ga.rr) ** 2
 
 
 def _tail_corrections(inp, params, grid, include_conv, conv_exact):
@@ -222,7 +208,6 @@ def probabilities(
     params: NetworkParams,
     grid: FrequencyGrid,
     cfg: QuadConfig | None = None,
-    threads: int | None = None,
     include_convolution: bool = True,
     use_shortcut: bool | None = None,
 ) -> ScatteringProbabilities:
@@ -233,16 +218,14 @@ def probabilities(
     equivalent half |T|^2 shortcut when the two input pulses are
     structurally identical (``use_shortcut`` overrides the automatic
     choice).  ``include_convolution`` exists as a diagnostic switch that
-    drops the nonlinear term everywhere.  ``threads`` (here and in
-    conservation_check and hom_scan) is accepted for call compatibility
-    and ignored.
+    drops the nonlinear term everywhere.
     """
     cfg = cfg or QuadConfig()
     if params.kappa == 0.0:
         # Pass-through network: the photons keep their (unit-norm) pulse
         # shapes and channels, so the split is exact.
         return ScatteringProbabilities(p_ll=0.0, p_lr=1.0, p_rr=0.0, total=1.0, est_error=0.0)
-    ga = channel_matrices(grid, inp, params, cfg, threads, include_convolution)
+    ga = channel_matrices(grid, inp, params, cfg, include_convolution)
 
     def win2(m):
         return integrate_grid_2d(m, grid, grid).real
@@ -310,10 +293,9 @@ def conservation_check(
     params: NetworkParams,
     grid: FrequencyGrid,
     cfg: QuadConfig | None = None,
-    threads: int | None = None,
 ) -> float:
     """|P_LL + P_LR + P_RR - 1|, the numerical normalization witness."""
-    return abs(probabilities(inp, params, grid, cfg, threads).total - 1.0)
+    return abs(probabilities(inp, params, grid, cfg).total - 1.0)
 
 
 def hom_scan(
@@ -322,7 +304,6 @@ def hom_scan(
     pulse: PulseSpec,
     grid: FrequencyGrid,
     cfg: QuadConfig | None = None,
-    threads: int | None = None,
 ) -> list[HomScanRow]:
     """Coincidence scan over coupling strengths with omega_c = ratio * kappa.
 
@@ -338,7 +319,7 @@ def hom_scan(
     rows = []
     for k in kappas:
         params = NetworkParams(kappa=k, omega_c=ratio * k, omega_o=getattr(pulse, "omega_o", 0.0))
-        p = probabilities(inp, params, grid, cfg, threads)
+        p = probabilities(inp, params, grid, cfg)
         rows.append(
             HomScanRow(kappa=k, omega_c=ratio * k, p_lr=p.p_lr, p_ll=p.p_ll, p_rr=p.p_rr)
         )

@@ -6,6 +6,7 @@ import pytest
 from photonsim.amplitudes import (
     Channel,
     amplitude_grid,
+    amplitudes_at,
     channel_matrices,
     linear_parts,
     t_ll,
@@ -115,6 +116,26 @@ def test_grid_matches_pointwise_evaluation():
             assert abs(ga.lr[i, j] - want) <= 1e-12
             want = t_ll(float(pts[i]), float(pts[j]), IDENTICAL, FIG_PARAMS)
             assert abs(ga.ll[i, j] - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "inp, params",
+    [
+        (IDENTICAL, FIG_PARAMS),
+        (TwoPhotonInput(LorentzianPulse(0.7, 0.3), LorentzianPulse(1.3, -0.2)), NetworkParams(3.0, 1.0)),
+        (IDENTICAL, NetworkParams(0.0)),
+    ],
+    ids=["identical", "distinct", "pass-through"],
+)
+def test_amplitudes_at_matches_grid_fill(inp, params):
+    # One rung per pair must give the grid fill's ladder values.
+    grid = FrequencyGrid(-6.0, 6.0, 13)
+    pts = grid.points
+    ga = channel_matrices(grid, inp, params)
+    at = amplitudes_at(pts[:, None], pts[None, :], inp, params)
+    for name in ("ll", "lr", "rr"):
+        assert np.abs(getattr(at, name) - getattr(ga, name)).max() <= 1e-12
+    assert abs(t_lr(float(pts[3]), float(pts[8]), inp, params) - at.lr[3, 8]) <= 1e-12
 
 
 def test_fig_style_grid_is_sane():

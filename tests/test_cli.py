@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import photonsim.amplitudes
 import photonsim.kernels
 from photonsim.cli import main
 from photonsim.model import (
@@ -81,6 +82,14 @@ def test_probabilities_conservation(capsys):
                    "--grid", "-40:40:401") == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["total"] - 1.0) <= 2e-3
+
+
+def test_threads_flag_is_accepted_and_ignored(capsys):
+    flags = ["probabilities", "--grid=-8:8:17"]
+    assert run_cli(*flags) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(*flags, "--threads", "3") == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_probabilities_distinct_pulses(capsys):
@@ -202,6 +211,21 @@ def test_verify_catches_injected_kernel_bug(monkeypatch):
         return -real(*args, **kwargs)
 
     monkeypatch.setattr(photonsim.kernels, "g_kernel", flipped)
+    report = run_verify(quick=True)
+    assert not report["all_passed"]
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert "oracle-vs-quadrature" in failed
+
+
+def test_verify_catches_injected_grid_prefactor_bug(monkeypatch):
+    # Negative control for the grid fill that ships: a sign flip in the
+    # assembly's convolution prefactor must fail the oracle comparison.
+    real = photonsim.amplitudes._combined_conv_prefactor
+
+    def flipped(*args, **kwargs):
+        return -real(*args, **kwargs)
+
+    monkeypatch.setattr(photonsim.amplitudes, "_combined_conv_prefactor", flipped)
     report = run_verify(quick=True)
     assert not report["all_passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
