@@ -46,7 +46,9 @@ from .oracle import residue_j
 from .quadrature import (
     QuadConfig,
     integrate_grid_2d,
+    integrate_half_line,
     integrate_half_line_multi,
+    integrate_line,
     integrate_lines,
     trapezoid_weights,
 )
@@ -404,8 +406,6 @@ def single_photon_norm(pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig 
         4.0 * abs(params.omega_c) + 10.0,
     )
     lo, hi = center - half, center + half
-    from .quadrature import integrate_half_line, integrate_line
-
     core = integrate_line(f, lo, hi, cfg, seeds=[center, -params.omega_c])
     left = integrate_half_line(f, lo, -1, half, cfg)
     right = integrate_half_line(f, hi, +1, half, cfg)

@@ -16,7 +16,10 @@ block of ``_BLOCK`` panels, and each unconverged integral then bisects
 every panel whose error exceeds its fair share of the tolerance.  The
 convolution ladder (``j_lines``: one reduced convolution per distinct
 frequency sum of a grid), the out-of-window strip and corner masses of
-the probabilities and the single-photon channel masses run on it.
+the probabilities and the single-photon channel masses run on it.  Ladder
+windows start from break points at the integrand's features; for
+Lorentzian pulses these are graded geometrically toward each feature's
+known pole distance, so bisection starts near the scale it must reach.
 ``integrate_line`` and ``integrate_half_line`` refine one scalar
 integral, worst panel first, with the same rule; they serve the
 pointwise ``convolve_g`` that the residue oracle checks, as a path
@@ -40,6 +43,7 @@ from . import kernels
 from .errors import NoConvergence, ShapeMismatch
 from .model import (
     FrequencyGrid,
+    LorentzianPulse,
     NetworkParams,
     SampledPulse,
     TwoPhotonInput,
@@ -204,6 +208,10 @@ _BLOCK = 256
 # was misplaced.
 _TAIL_SUBDIVISIONS = 50
 
+# Offsets, in units of a feature's pole distance, of the graded break
+# points that convolution_windows adds around each Lorentzian feature.
+_GRADING = 3.0 ** np.arange(6)
+
 
 def _initial_panels(lo, hi, seeds):
     """(line, a, b) of the seeded window panels, built without a Python
@@ -276,9 +284,10 @@ def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
     converges when its summed panel error is at most
     max(abs_tol, rel_tol * max_k |value_k|) and may split budget[j] times
     (its initial panels count).  Every sweep bisects, in each unconverged
-    segment, the panels whose error exceeds tol / npanels, worst first and
-    within its remaining budget; decisions for one segment never depend on
-    the others.
+    segment, its worst panel and the panels whose error exceeds
+    tol / npanels, worst first and within its remaining budget; decisions
+    for one segment never depend on the others.  Only those split
+    candidates are sorted, not every live panel.
     """
     nseg = edge.size
     seg_line = np.arange(nseg) % m
@@ -306,12 +315,20 @@ def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
         seg, a, b, val, err = seg[live], a[live], b[live], val[live], err[live]
         if not seg.size:
             break
-        # Rank each panel within its segment by decreasing error.
-        order = np.lexsort((-err, seg))
+        # Rank the split candidates within their segment by decreasing
+        # error: the panels above tol / npanels, and every panel of a
+        # segment that has none (only rounding lets an unconverged segment
+        # have none).  They form a prefix of each segment's worst-first
+        # order, so ranking them alone keeps every rank that the rule reads.
+        share = (tol / np.maximum(np.bincount(seg, minlength=nseg), 1))[seg]
+        cand = err > share
+        cand |= (np.bincount(seg[cand], minlength=nseg) == 0)[seg]
+        cand = np.flatnonzero(cand)
+        order = cand[np.lexsort((-err[cand], seg[cand]))]
         ranked = seg[order]
-        npan = np.bincount(seg, minlength=nseg)
-        rank = np.arange(seg.size) - (np.cumsum(npan) - npan)[ranked]
-        pick = (rank == 0) | (err[order] > (tol / np.maximum(npan, 1))[ranked])
+        ncand = np.bincount(ranked, minlength=nseg)
+        rank = np.arange(order.size) - (np.cumsum(ncand) - ncand)[ranked]
+        pick = (rank == 0) | (err[order] > share[order])
         pick &= rank < (budget - splits)[ranked]
         pick = order[pick]
         splits += np.bincount(seg[pick], minlength=nseg)
@@ -450,7 +467,15 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
     when they have any.  Vectorised over ``omega_sums`` (m,): returns
     (lo (m,), hi (m,), seeds (m, k)); a window with hi <= lo is empty
     (the product of supports is empty), and seeds may fall outside
-    their window.
+    their window or repeat.
+
+    The seeds are the four features.  When both pulses are Lorentzian,
+    each feature c also gets graded break points c +- d 3^j, j = 0..5,
+    with d its pole distance: gamma_l / 2 and gamma_r / 2 at the pulse
+    centres, 2 kappa at the kernel features.  Sampled pulses get their
+    interpolation kinks instead and no graded points: a tabulated ladder
+    usually converges on its kink panels alone, so grading around the
+    kernel features only added evaluations.
     """
     sums = np.atleast_1d(np.asarray(omega_sums, dtype=float))
     features = np.stack(
@@ -478,6 +503,12 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
     if sup_r is not None:
         lo, hi = np.maximum(lo, sums - sup_r[1]), np.minimum(hi, sums - sup_r[0])
     seeds = [features]
+    if isinstance(inp.left, LorentzianPulse) and isinstance(inp.right, LorentzianPulse):
+        # Break points at c +- d 3^j start the panels near the scale that
+        # bisection would reach, instead of halving from the window width.
+        d = np.array([inp.left.gamma / 2, inp.right.gamma / 2, 2 * params.kappa, 2 * params.kappa])
+        steps = np.outer(d, np.concatenate([-_GRADING, _GRADING])).ravel()
+        seeds.append(np.repeat(features, 2 * _GRADING.size, axis=1) + steps)
     # Sampled pulses are piecewise linear; seeding every interpolation
     # kink keeps the panels smooth instead of letting adaptivity chase
     # the kinks one bisection at a time.

@@ -23,6 +23,7 @@ from photonsim.oracle import residue_j
 from photonsim.quadrature import (
     QuadConfig,
     convolution_window,
+    convolution_windows,
     integrate_line,
     integrate_lines,
     j_line,
@@ -44,6 +45,8 @@ DEFAULT_SUMS = ladder_sums(FrequencyGrid(-40.0, 40.0, 801))
         (0.7, 1.6, 12.0, 3.0),  # gamma_l != gamma_r
         (1.0, 1.0, 1e-4, 0.0),  # weak coupling
         (1.0, 1.0, 100.0, 0.0),  # strong coupling
+        (1.0, 2.0, 0.5, 0.8),  # degenerate double pole: gamma_r = 4 kappa
+        (1.0, 1.0, 20.0, 40.0),  # kernel pole at the window edge
     ],
 )
 def test_ladder_matches_residue_on_default_grid(gamma_l, gamma_r, kappa, omega_c):
@@ -77,6 +80,14 @@ def test_ladder_and_tail_oracle_with_different_centres():
         np.testing.assert_allclose(got, np.abs(amp) ** 2, rtol=1e-9, atol=1e-15)
 
 
+def test_graded_seeds_cut_ladder_evaluations():
+    # Before the pole-graded initial mesh this ladder took 1,506,660
+    # integrand evaluations; graded seeds measured 1,025,445.
+    inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
+    _, _, evals = j_lines(DEFAULT_SUMS, inp, NetworkParams(4.2, 8.4))
+    assert evals.sum() <= 0.8 * 1_506_660
+
+
 def test_residue_j_right_centre_defaults_to_left():
     params = NetworkParams(0.9, 0.4)
     s = np.linspace(-3.0, 3.0, 7)
@@ -90,6 +101,27 @@ def tabulated_input(spacing):
     left = tabulate_pulse(LorentzianPulse(0.8, 0.5), pg)
     right = make_sampled_pulse(pg, np.exp(-((pg.points - 1.0) ** 2) / 2.0))
     return TwoPhotonInput(left, right)
+
+
+def test_tabulated_windows_seed_only_features_and_kinks():
+    # Sampled pulses get no pole-graded seeds: the four features, then the
+    # left pulse's kinks and the right pulse's kinks mirrored through s.
+    inp = tabulated_input(0.5)
+    params = NetworkParams(1.2, 0.7)
+    sums = ladder_sums(FrequencyGrid(-12.0, 12.0, 25))
+    _, _, seeds = convolution_windows(sums, inp, params, QuadConfig())
+    kinks = inp.left.grid.points
+    want = np.column_stack(
+        [
+            np.full(sums.size, 0.5 * (kinks[0] + kinks[-1])),
+            sums - 0.5 * (kinks[0] + kinks[-1]),
+            np.full(sums.size, -params.omega_c),
+            sums + params.omega_c,
+            np.broadcast_to(kinks, (sums.size, kinks.size)),
+            sums[:, None] - inp.right.grid.points,
+        ]
+    )
+    assert np.array_equal(seeds, want)
 
 
 def test_ladder_matches_scalar_integrator_on_tabulated_pulses():
@@ -133,12 +165,13 @@ def test_integrate_lines_tails_and_empty_windows():
 
 
 def test_no_convergence_names_lowest_failing_rung():
-    # Budget-limited tolerance: rungs 5 and 7 fail when run alone (each
-    # needs 33 subdivisions), every other rung converges within 30.
+    # Budget-limited tolerance: rungs 1, 2, 10 and 11 fail when run alone
+    # (each needs 39 or 40 subdivisions, 36 of them its seeds), every
+    # other rung converges within 38.
     grid = FrequencyGrid(-6.0, 6.0, 7)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
     params = NetworkParams(1.5, 0.0)
-    cfg = QuadConfig(rel_tol=1e-11, max_subdivisions=30)
+    cfg = QuadConfig(rel_tol=1e-11, max_subdivisions=38)
     alone = []
     for idx, s in enumerate(ladder_sums(grid)):
         try:
