@@ -3,9 +3,11 @@
 Each output channel pair (LL, LR, RR) has an amplitude built from two
 single-photon scattering products plus one shared nonlinear convolution
 term.  ``assemble`` is the one place that adds prefactor * J, with J the
-reduced convolution at omega1 + omega2, to the linear parts: grid fills
-feed it one batched Gauss-Kronrod ladder (quadrature.j_lines) with one
-rung per distinct frequency sum, 2n - 1 on an n-point grid;
+reduced convolution at s = omega1 + omega2, to the linear parts.  The
+prefactor is u(omega1) u(omega2) s' F(s) (see sum_factor): callers pass
+F * J, one value per sum, and assemble multiplies in u u s' per node.
+Grid fills take J from one batched Gauss-Kronrod ladder (quadrature.j_lines)
+with one rung per distinct frequency sum, 2n - 1 on an n-point grid;
 amplitudes_at and t_ll/t_lr/t_rr one rung per point; the out-of-window
 integrals in observables the closed-form oracle.residue_j.
 t_lr_identical keeps its own rational form on the pointwise convolve_g
@@ -107,37 +109,29 @@ def t_lr_identical(omega1: float, omega2: float, pulse: PulseSpec, params: Netwo
     return lin + pref * convolve_g(omega1, omega2, inp, params, cfg).value
 
 
-def scattered_components(pulse: PulseSpec, omegas: np.ndarray, params: NetworkParams):
-    """Same-channel and cross-channel single-photon products
-    (theta1 * amplitude, theta2 * amplitude) on an array of frequencies."""
-    t1, t2 = theta_arrays(omegas, params)
-    xi = pulse_amplitude(pulse, omegas)
-    return t1 * xi, t2 * xi
-
-
-def _combined_conv_prefactor(w1: np.ndarray, w2: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Channel prefactor times the kernel's nu-independent rational factor.
-
-    The (omega1 + omega_c + 2i kappa) factors cancel between the two,
-    leaving an expression symmetric in (omega1, omega2); this is the form
-    used for whole-grid fills.
-    """
-    k, wc = params.kappa, params.omega_c
-    s = w1 + w2 + 2.0 * wc
-    d = (w1 + wc - 2j * k) * (w2 + wc - 2j * k)
-    return (-2j * k**2 / math.pi) * (s - 4j * k) * s / (d * (s - 2j * k))
+def sum_factor(sums, params: NetworkParams):
+    """F(s) = (-2i kappa^2 / pi) (s' - 4i kappa) / (s' - 2i kappa), s' = s + 2 omega_c:
+    the factor of the convolution prefactor that depends on the pair only
+    through s = omega1 + omega2.  The whole prefactor (the channel factor
+    times oracle.conv_prefactor) is u(omega1) u(omega2) s' F(s), with
+    u(omega) = 1 / (omega + omega_c - 2i kappa)."""
+    k = params.kappa
+    s = np.asarray(sums, dtype=float) + 2.0 * params.omega_c
+    return (-2j * k**2 / math.pi) * (s - 4j * k) / (s - 2j * k)
 
 
 def linear_parts(w1: np.ndarray, w2: np.ndarray, inp: TwoPhotonInput, params: NetworkParams):
     """Independent-scattering parts of all three channel amplitudes at the
     broadcast pairs (w1, w2), without the convolution term: w[:, None] and
-    w[None, :] give the outer product, equal shapes give point values."""
+    w[None, :] give the outer product, equal shapes give point values.
+    a = theta1 * pulse (same channel), b = theta2 * pulse; suffix 2: at w2."""
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    a_l, b_l = scattered_components(inp.left, w1, params)
-    a_r, b_r = scattered_components(inp.right, w1, params)
-    a_l2, b_l2 = scattered_components(inp.left, w2, params)
-    a_r2, b_r2 = scattered_components(inp.right, w2, params)
+    (t1, t2), (t1_2, t2_2) = theta_arrays(w1, params), theta_arrays(w2, params)
+    xi_l, xi_r = pulse_amplitude(inp.left, w1), pulse_amplitude(inp.right, w1)
+    xi_l2, xi_r2 = pulse_amplitude(inp.left, w2), pulse_amplitude(inp.right, w2)
+    a_l, b_l, a_r, b_r = t1 * xi_l, t2 * xi_l, t1 * xi_r, t2 * xi_r
+    a_l2, b_l2, a_r2, b_r2 = t1_2 * xi_l2, t2_2 * xi_l2, t1_2 * xi_r2, t2_2 * xi_r2
     ll = a_l * b_r2 + b_r * a_l2
     lr = a_l * a_r2 + b_r * b_l2
     rr = b_l * a_r2 + a_r * b_l2
@@ -158,15 +152,17 @@ class GridAssembly:
 
 def assemble(w1, w2, inp: TwoPhotonInput, params: NetworkParams, j=None, j_err=None) -> GridAssembly:
     """The three channel amplitudes at the broadcast pairs (w1, w2) (see
-    linear_parts): the linear parts plus the prefactor times ``j``, the
-    reduced convolution at w1 + w2, whose error estimate is ``j_err``.
-    j = None drops the convolution term.  The term is added in place to
-    the fresh linear parts, which keeps peak memory of a grid fill flat.
+    linear_parts): the linear parts plus u(w1) u(w2) s' times ``j``, i.e.
+    sum_factor times J at w1 + w2, with error estimate ``j_err``; s' is
+    formed per node, so the term is exactly 0 where s' is.  j = None drops
+    it.  It is added in place to the fresh linear parts (flat peak memory).
     """
     ll, lr, rr = linear_parts(w1, w2, inp, params)
     if j is None:
         return GridAssembly(ll, lr, rr, None, np.zeros(np.shape(ll)))
-    conv = _combined_conv_prefactor(w1, w2, params)
+    den = params.omega_c - 2j * params.kappa
+    conv = (1.0 / (w1 + den)) * (1.0 / (w2 + den))
+    conv *= w1 + w2 + 2.0 * params.omega_c
     point_err = np.zeros(conv.shape) if j_err is None else np.abs(conv) * j_err
     conv *= j
     ll += conv
@@ -183,7 +179,8 @@ def amplitudes_at(w1, w2, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadC
         return assemble(w1, w2, inp, params)
     sums = w1 + w2
     j, j_err, _ = j_lines(sums.ravel(), inp, params, cfg)
-    return assemble(w1, w2, inp, params, j.reshape(sums.shape), j_err.reshape(sums.shape))
+    f = sum_factor(sums, params)
+    return assemble(w1, w2, inp, params, f * j.reshape(sums.shape), np.abs(f) * j_err.reshape(sums.shape))
 
 
 def channel_matrices(
@@ -210,7 +207,8 @@ def channel_matrices(
         # windows index the ladder that way without copying it.
         sums = 2.0 * grid.min + grid.spacing * np.arange(2 * grid.n - 1)
         j_values, j_errors, _ = j_lines(sums, inp, params, cfg)
-        j, j_err = (sliding_window_view(a, grid.n) for a in (j_values, j_errors))
+        f = sum_factor(sums, params)
+        j, j_err = (sliding_window_view(a, grid.n) for a in (f * j_values, np.abs(f) * j_errors))
     return assemble(w[:, None], w[None, :], inp, params, j, j_err)
 
 

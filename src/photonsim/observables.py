@@ -5,7 +5,9 @@ window on the shared grid captures the bulk; the pulse-shaped tails
 beyond it (about gamma/(pi*W) of the mass per photon) are integrated
 explicitly over the four half-infinite strips and four corners, with
 the closed-form residue convolution supplying the amplitude out there
-for Lorentzian inputs.  Strips and corners run on the batched
+for Lorentzian inputs: amplitudes.sum_factor times oracle.residue_j, both
+rational in omega1 + omega2 alone, which amplitudes.assemble scales by
+u(omega1) u(omega2) s' per node.  Strips and corners run on the batched
 Gauss-Kronrod engine (quadrature.integrate_half_line_multi): the strips
 as one batch of four mapped half-lines, the corners as one batch of four
 outer half-lines whose integrand integrates the inner half-line of
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/tracing.py patches channel_matrices and linear_parts at this import site.
-from .amplitudes import JointAmplitude, assemble, channel_matrices, linear_parts  # noqa: F401
+from .amplitudes import JointAmplitude, assemble, channel_matrices, linear_parts, sum_factor  # noqa: F401
 from .errors import ValidationError, WindowTooNarrow, ZeroAmplitude
 from .kernels import theta_arrays
 from .model import (
@@ -113,7 +115,8 @@ def _block_densities(w1, w2, inp, params, include_conv, conv_exact):
     j = None
     if include_conv and conv_exact and params.kappa > 0.0:
         left, right = inp.left, inp.right
-        j = residue_j(w1 + w2, left.gamma, right.gamma, left.omega_o, params, omega_o_r=right.omega_o)
+        s = w1 + w2
+        j = sum_factor(s, params) * residue_j(s, left.gamma, right.gamma, left.omega_o, params, omega_o_r=right.omega_o)
     ga = assemble(w1, w2, inp, params, j)
     return np.abs(ga.ll) ** 2, np.abs(ga.lr) ** 2, np.abs(ga.rr) ** 2
 

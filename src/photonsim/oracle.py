@@ -1,9 +1,19 @@
 """Closed-form convolution for Lorentzian inputs via contour integration.
 
-The nu-dependent part of the nonlinear convolution is a rational function
-with four simple poles: one from each pulse factor and two from the
-kernel denominators.  The integrand decays like |nu|^-4, so closing the
-contour in the upper half-plane reduces the integral to two residues.
+Up to a constant, the nu-dependent part of the nonlinear convolution is
+1 / ((nu - p_l)(nu - p_r)(nu - q_u)(nu - q_l)), with the simple poles of
+_pole_locations: p_r, q_u above the real axis and p_l, q_l below.  It
+decays like |nu|^-4, so either half-plane closes onto two residues.  With
+f(nu) = 1 / ((nu - p_l)(nu - q_l)) the upper two add up to
+(f(p_r) - f(q_u)) / (p_r - q_u), whose numerator carries the factor
+p_r - q_u; it cancels and leaves one rational in s = omega1 + omega2,
+
+    J(s) = -i sqrt(gamma_L gamma_R) N / (c_R c_L (s + a)(s + 2 omega_c - 4i kappa)),
+    a = omega_o,L + omega_o,R + i (gamma_L + gamma_R) / 2,  N = a - 2 omega_c + 4i kappa,
+    c_R = p_r - q_l and c_L = q_u - p_l, both independent of s,
+
+which is regular where p_r meets q_u (gamma_R = 4 kappa, the degenerate
+manifold).  The lower closure keeps the raw residue sum as a cross-check.
 This module evaluates that closed form independently of the adaptive
 quadrature path and provides grid-level comparisons between the two.
 """
@@ -20,10 +30,8 @@ from .errors import ValidationError
 from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
 from .quadrature import QuadConfig, convolve_g
 
-# Two raw pole locations closer than this (relative to the largest pole
-# magnitude) are merged into one double pole; below this separation the
-# derivative formula is better conditioned than two nearly-cancelling
-# simple-pole terms.
+# poles_for reports two raw pole locations closer than this (relative to
+# the largest pole magnitude) as one double pole.
 POLE_MERGE_TOL = 1e-9
 
 
@@ -48,11 +56,8 @@ class PoleSet:
 
 
 def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o_l, omega_o_r, params: NetworkParams):
-    """Raw pole locations in nu of the convolution integrand.
-
-    p_l (left pulse, lower half), p_r (right pulse, upper half),
-    q_u (kernel, upper half), q_l (kernel, lower half).
-    """
+    """Raw poles in nu of the convolution integrand: p_l (left pulse), p_r
+    (right pulse), q_u and q_l (kernel), at omega_sum = omega1 + omega2."""
     p_l = -omega_o_l - 0.5j * gamma_l
     p_r = omega_sum + omega_o_r + 0.5j * gamma_r
     q_u = -params.omega_c + 2j * params.kappa
@@ -98,34 +103,24 @@ def residue_j(
 
     Vectorized over ``omega_sum``.  ``omega_o`` is the left pulse's
     centre parameter and ``omega_o_r`` the right one's (default: the
-    same); the right pulse pole sits at omega_sum + omega_o_r +
-    i gamma_r / 2.  ``close`` selects the half-plane used to close the
-    contour; both must agree, which is exercised as an internal
-    consistency check in the tests.
+    same).  ``close`` selects the half-plane that closes the contour:
+    "upper" is the two-pole form of the module docstring, "lower" the raw
+    sum of the two lower residues; both must agree.
     """
     omega_sum = np.asarray(omega_sum, dtype=float)
     if omega_o_r is None:
         omega_o_r = omega_o
-    p_l, p_r, q_u, q_l = _pole_locations(omega_sum, gamma_l, gamma_r, omega_o, omega_o_r, params)
-    p_l = np.broadcast_to(np.asarray(p_l, dtype=complex), omega_sum.shape)
-    q_u = np.broadcast_to(np.asarray(q_u, dtype=complex), omega_sum.shape)
-    scale = np.maximum.reduce([np.abs(p_l), np.abs(p_r), np.abs(q_u), np.abs(q_l), np.ones_like(omega_sum)])
-    degenerate = np.abs(p_r - q_u) < POLE_MERGE_TOL * scale
-
     front = -1j * math.sqrt(gamma_l * gamma_r)
     if close == "upper":
-        gap = np.where(degenerate, 1.0, p_r - q_u)  # guarded; replaced below
-        res_pr = 1.0 / ((p_r - p_l) * gap * (p_r - q_l))
-        res_qu = 1.0 / ((q_u - p_l) * (-gap) * (q_u - q_l))
-        value = front * (res_pr + res_qu)
-        if np.any(degenerate):
-            p = 0.5 * (p_r + q_u)
-            # Merged double pole: d/dnu [1/((nu-p_l)(nu-q_l))] evaluated at p.
-            res2 = -(1.0 / ((p - p_l) ** 2 * (p - q_l)) + 1.0 / ((p - p_l) * (p - q_l) ** 2))
-            value = np.where(degenerate, front * res2, value)
+        k, wc = params.kappa, params.omega_c
+        a = omega_o + omega_o_r + 0.5j * (gamma_l + gamma_r)
+        b = 2.0 * wc - 4j * k
+        c_r = omega_o_r - wc + 1j * (0.5 * gamma_r + 2.0 * k)
+        c_l = omega_o - wc + 1j * (0.5 * gamma_l + 2.0 * k)
+        value = (front * (a - b) / (c_r * c_l)) / ((omega_sum + a) * (omega_sum + b))
     elif close == "lower":
-        # Both lower poles stay simple even on the degenerate manifold (the
-        # merge happens in the upper half-plane), so no special case.
+        # Both lower poles stay simple on the degenerate manifold.
+        p_l, p_r, q_u, q_l = _pole_locations(omega_sum, gamma_l, gamma_r, omega_o, omega_o_r, params)
         res_pl = 1.0 / ((p_l - p_r) * (p_l - q_u) * (p_l - q_l))
         res_ql = 1.0 / ((q_l - p_l) * (q_l - p_r) * (q_l - q_u))
         value = -front * (res_pl + res_ql)
@@ -163,8 +158,6 @@ def residue_convolution(
     """Closed-form value of the convolution integral for Lorentzian inputs.
 
     Independent of the adaptive quadrature path; used to validate it.
-    The degenerate double-pole case (gamma_r = 4*kappa with the frequency
-    sum on the matching resonance) is handled by the derivative formula.
     """
     del cfg  # accepted for signature parity with the quadrature path
     if params.kappa <= 0:

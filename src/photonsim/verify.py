@@ -79,18 +79,23 @@ def _check_oracle_match(quick):
 
 
 def _check_contour_sides(quick):
+    # Random draws, then draws on the degenerate manifold gamma_r = 4 kappa
+    # at fixed offsets from the double pole s = -omega_c - omega_o.
     rng = np.random.default_rng(3)
-    n = 50 if quick else 300
+    n, n_deg = (50, 5) if quick else (300, 30)
     worst = 0.0
-    for _ in range(n):
+    for i in range(n + n_deg):
         params = NetworkParams(rng.uniform(0.2, 10), rng.uniform(-5, 5))
         gl, gr = rng.uniform(0.3, 4, 2)
         wo = rng.uniform(-2, 2)
         s = rng.uniform(-10, 10)
+        if i >= n:
+            gr = 4.0 * params.kappa
+            s = -params.omega_c - wo + np.array([0.0, 1e-12, 1e-9, 1e-7, 1e-5])
         up = residue_j(s, gl, gr, wo, params)
         down = residue_j(s, gl, gr, wo, params, close="lower")
-        worst = max(worst, abs(up - down) / max(abs(up), 1e-30))
-    return worst, 1e-10, f"{n} upper-vs-lower contour closures"
+        worst = max(worst, float(np.max(np.abs(up - down) / np.maximum(np.abs(up), 1e-30))))
+    return worst, 1e-10, f"{n} upper-vs-lower contour closures, {n_deg} more near the double pole"
 
 
 def _check_conservation(quick):

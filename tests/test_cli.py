@@ -219,13 +219,14 @@ def test_verify_catches_injected_kernel_bug(monkeypatch):
 
 def test_verify_catches_injected_grid_prefactor_bug(monkeypatch):
     # Negative control for the grid fill that ships: a sign flip in the
-    # assembly's convolution prefactor must fail the oracle comparison.
-    real = photonsim.amplitudes._combined_conv_prefactor
+    # frequency-sum factor of the convolution prefactor must fail the
+    # oracle comparison.
+    real = photonsim.amplitudes.sum_factor
 
     def flipped(*args, **kwargs):
         return -real(*args, **kwargs)
 
-    monkeypatch.setattr(photonsim.amplitudes, "_combined_conv_prefactor", flipped)
+    monkeypatch.setattr(photonsim.amplitudes, "sum_factor", flipped)
     report = run_verify(quick=True)
     assert not report["all_passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}

@@ -105,6 +105,22 @@ def test_degenerate_double_pole_bracketed():
     assert abs(q - r) <= 1e-6 * abs(r)
 
 
+@pytest.mark.parametrize(
+    "kappa, wc, wo_l, wo_r, gl",
+    [(0.5, 0.8, -0.2, -0.2, 1.0), (2.3, -1.7, 0.4, 1.1, 0.35), (0.05, 3.0, 0.0, -2.0, 3.2)],
+)
+def test_upper_closure_accurate_near_double_pole(kappa, wc, wo_l, wo_r, gl):
+    # On gamma_r = 4 kappa the upper pulse and kernel poles merge at
+    # s = -omega_c - omega_o,R.  Summed term by term, the two nearly
+    # cancelling upper residues lost up to 4.9e-9 relative accuracy at
+    # these points (offset 1e-7); the lower closure has no merge.
+    params = NetworkParams(kappa, wc, wo_l)
+    s = -wc - wo_r + np.array([0.0, 1e-12, 1e-9, 1e-7, 1e-5])
+    up = residue_j(s, gl, 4 * kappa, wo_l, params, omega_o_r=wo_r)
+    down = residue_j(s, gl, 4 * kappa, wo_l, params, close="lower", omega_o_r=wo_r)
+    assert np.all(np.abs(up - down) <= 1e-13 * np.abs(down))
+
+
 def test_compare_on_grid_small():
     grid = FrequencyGrid(-6.0, 6.0, 5)
     report = compare_on_grid(grid, 1.0, 1.0, 0.0, NetworkParams(1.5, 0.0))
