@@ -2,12 +2,20 @@
 
 Each output channel pair (LL, LR, RR) has an amplitude built from two
 single-photon scattering products plus one shared nonlinear convolution
-term.  ``assemble`` is the one place that adds prefactor * J, with J the
+term.  On frequency vectors, with a = theta1 * pulse and b = theta2 *
+pulse of each input side, the linear part of a channel is a sum of two
+outer products x(omega1) y(omega2), its (x, y) table (CHANNEL_PAIRS):
+
+    LL: (a_l, b_r) + (b_r, a_l)   LR: (a_l, a_r) + (b_r, b_l)
+    RR: (b_l, a_r) + (a_r, b_l)
+
+``assemble`` is the one place that adds prefactor * J, with J the
 reduced convolution at s = omega1 + omega2, to the linear parts.  The
 prefactor is u(omega1) u(omega2) s' F(s) (see sum_factor): callers pass
 F * J, one value per sum, and assemble multiplies in u u s' per node.
-Grid fills take J from one batched Gauss-Kronrod ladder (quadrature.j_lines)
-with one rung per distinct frequency sum, 2n - 1 on an n-point grid;
+Grid fills and the probabilities window take J from one batched
+Gauss-Kronrod ladder (``ladder``: quadrature.j_lines with one rung per
+distinct frequency sum, 2n - 1 on an n-point grid);
 amplitudes_at and t_ll/t_lr/t_rr one rung per point; the out-of-window
 integrals in observables the closed-form oracle.residue_j.
 t_lr_identical keeps its own rational form on the pointwise convolve_g
@@ -120,22 +128,41 @@ def sum_factor(sums, params: NetworkParams):
     return (-2j * k**2 / math.pi) * (s - 4j * k) / (s - 2j * k)
 
 
+# The (x, y) table of the module docstring as indices into single_factors.
+_A_L, _B_L, _A_R, _B_R = range(4)
+CHANNEL_PAIRS = (
+    ((_A_L, _B_R), (_B_R, _A_L)),  # LL
+    ((_A_L, _A_R), (_B_R, _B_L)),  # LR
+    ((_B_L, _A_R), (_A_R, _B_L)),  # RR
+)
+
+
+def single_factors(w, inp: TwoPhotonInput, params: NetworkParams):
+    """(a_l, b_l, a_r, b_r) at the frequencies w: a = theta1 * pulse (same
+    channel), b = theta2 * pulse (crossed), for the left and right pulse."""
+    w = np.asarray(w, dtype=float)
+    t1, t2 = theta_arrays(w, params)
+    xi_l, xi_r = pulse_amplitude(inp.left, w), pulse_amplitude(inp.right, w)
+    return t1 * xi_l, t2 * xi_l, t1 * xi_r, t2 * xi_r
+
+
 def linear_parts(w1: np.ndarray, w2: np.ndarray, inp: TwoPhotonInput, params: NetworkParams):
     """Independent-scattering parts of all three channel amplitudes at the
     broadcast pairs (w1, w2), without the convolution term: w[:, None] and
-    w[None, :] give the outer product, equal shapes give point values.
-    a = theta1 * pulse (same channel), b = theta2 * pulse; suffix 2: at w2."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    (t1, t2), (t1_2, t2_2) = theta_arrays(w1, params), theta_arrays(w2, params)
-    xi_l, xi_r = pulse_amplitude(inp.left, w1), pulse_amplitude(inp.right, w1)
-    xi_l2, xi_r2 = pulse_amplitude(inp.left, w2), pulse_amplitude(inp.right, w2)
-    a_l, b_l, a_r, b_r = t1 * xi_l, t2 * xi_l, t1 * xi_r, t2 * xi_r
-    a_l2, b_l2, a_r2, b_r2 = t1_2 * xi_l2, t2_2 * xi_l2, t1_2 * xi_r2, t2_2 * xi_r2
-    ll = a_l * b_r2 + b_r * a_l2
-    lr = a_l * a_r2 + b_r * b_l2
-    rr = b_l * a_r2 + a_r * b_l2
-    return ll, lr, rr
+    w[None, :] give the outer product, equal shapes give point values."""
+    f1, f2 = single_factors(w1, inp, params), single_factors(w2, inp, params)
+    return tuple(f1[x] * f2[y] + f1[x2] * f2[y2] for (x, y), (x2, y2) in CHANNEL_PAIRS)
+
+
+def ladder(grid: FrequencyGrid, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None):
+    """The convolution ladder of grid x grid: node (i, j) sits on rung i + j
+    of the 2n - 1 frequency sums.  Returns s' (the sums plus 2 omega_c),
+    sum_factor times J, and its error estimate, one value per rung; the
+    convolution term at node (i, j) is u_i u_j s' F J on its rung."""
+    sums = 2.0 * grid.min + grid.spacing * np.arange(2 * grid.n - 1)
+    j_values, j_errors, _ = j_lines(sums, inp, params, cfg)
+    f = sum_factor(sums, params)
+    return sums + 2.0 * params.omega_c, f * j_values, np.abs(f) * j_errors
 
 
 @dataclass(frozen=True)
@@ -203,12 +230,9 @@ def channel_matrices(
     w = grid.points
     j = j_err = None
     if include_convolution and params.kappa != 0.0:
-        # Rung i + j holds the frequency sum of node (i, j); the sliding
-        # windows index the ladder that way without copying it.
-        sums = 2.0 * grid.min + grid.spacing * np.arange(2 * grid.n - 1)
-        j_values, j_errors, _ = j_lines(sums, inp, params, cfg)
-        f = sum_factor(sums, params)
-        j, j_err = (sliding_window_view(a, grid.n) for a in (f * j_values, np.abs(f) * j_errors))
+        # The sliding windows index the ladder by i + j without copying it.
+        _, fj, fj_err = ladder(grid, inp, params, cfg)
+        j, j_err = (sliding_window_view(a, grid.n) for a in (fj, fj_err))
     return assemble(w[:, None], w[None, :], inp, params, j, j_err)
 
 

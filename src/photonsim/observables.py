@@ -15,8 +15,22 @@ every outer node as one more batch.  The result is a full-plane integral
 rather than a windowed one, which is what makes probability
 conservation meaningful at practical window sizes.
 
-Window sums (quadrature.integrate_grid_2d) and strip sums (einsum) avoid
-OpenBLAS's threaded sizes, whose idle spin doubled a Lorentzian op's CPU.
+The window builds no n x n array (window_terms).  On node (i, j) of the
+uniform grid each channel is T = sum_t x_t(i) y_t(j) + u_i u_j h_{i+j},
+with the (x, y) pairs of amplitudes.CHANNEL_PAIRS, u = 1 / (omega +
+omega_c - 2i kappa) and h_k = s'_k F_k J_k on ladder rung k.  With
+trapezoid weights w and <x, y> = sum w conj(x) y,
+
+    sum_ij w_i w_j |T_ij|^2 = sum_{t,t'} <x_t, x_t'> <y_t, y_t'>
+                              + 2 Re sum_k h_k A_k + sum_k |h_k|^2 P_k,
+
+where A = sum_t (w conj(x_t) u) * (w conj(y_t) u) and P = (w |u|^2) *
+(w |u|^2) are discrete convolutions over the 2n - 1 rungs.  To first
+order a ladder error e_k moves the sum by at most 2 e_k |B_k|, with
+B_k = A_k + conj(h_k) P_k.
+These sums (np.convolve, numpy's own loop) and the strip sums (einsum)
+avoid OpenBLAS's threaded sizes, whose idle spin doubled a Lorentzian
+op's CPU.
 """
 
 from __future__ import annotations
@@ -27,7 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/tracing.py patches channel_matrices and linear_parts at this import site.
-from .amplitudes import JointAmplitude, assemble, channel_matrices, linear_parts, sum_factor  # noqa: F401
+from .amplitudes import (  # noqa: F401
+    CHANNEL_PAIRS, JointAmplitude, assemble, channel_matrices, ladder, linear_parts, single_factors, sum_factor,
+)
 from .errors import ValidationError, WindowTooNarrow, ZeroAmplitude
 from .kernels import theta_arrays
 from .model import (
@@ -47,7 +63,6 @@ from .oracle import residue_j
 # perfbench/tracing.py patches it.
 from .quadrature import (
     QuadConfig,
-    integrate_grid_2d,
     integrate_half_line,
     integrate_half_line_multi,
     integrate_line,
@@ -179,33 +194,80 @@ def _tail_corrections(inp, params, grid, include_conv, conv_exact):
     return values + v.real.sum(axis=0), err + float(e.sum())
 
 
-def _conv_strip_bound(conv, grid) -> float:
-    """Crude bound on the convolution mass in the strips, from its
-    boundary rows and columns (|conv|^2 decays like the fourth power of
-    the outgoing frequency, so each strip is about edge mass * W / 3)."""
-    if conv is None:
-        return 0.0
-    wt = trapezoid_weights(grid)
-    dens = np.abs(conv) ** 2
-    edge = float(wt @ (dens[0] + dens[-1] + dens[:, 0] + dens[:, -1]))
-    half_width = 0.5 * (grid.max - grid.min)
-    return edge * half_width / 3.0
+@dataclass(frozen=True)
+class WindowTerms:
+    """Trapezoid sums of |T_LL|^2, |T_LR|^2, |T_RR|^2 over grid x grid, the
+    refinement and ladder (quadrature) error terms of est_error, and the
+    mass of |conv|^2 along the four window edges."""
+
+    masses: tuple
+    refinement: float
+    quadrature: float
+    edge_mass: float
 
 
-def _trapezoid_refinement_error(dens, grid) -> float:
-    """Richardson-style estimate: compare the trapezoid integral with the
-    one on every second grid point.  An even point count has no such
-    sub-grid, so both integrals then use the leading n - 1 points,
-    [min, max - spacing]; fewer than 5 points give no estimate."""
-    if grid.n % 2 == 0:
-        dens = dens[:-1, :-1]
-        grid = FrequencyGrid(grid.min, grid.max - grid.spacing, grid.n - 1)
-    if grid.n < 5:
-        return 0.0
-    sub = FrequencyGrid(grid.min, grid.max, (grid.n - 1) // 2 + 1)
-    fine = integrate_grid_2d(dens, grid, grid).real
-    coarse = integrate_grid_2d(dens[::2, ::2], sub, sub).real
-    return abs(fine - coarse) / 3.0
+def _window_sums(f, u, h, wt):
+    """Per channel, the weighted sum of |T|^2 and, when there is a
+    convolution term h, the rung sums B (see the module docstring)."""
+    g = [wt * np.conj(v) for v in f]
+    gram = [[gi @ v for v in f] for gi in g]
+    if h is not None:
+        gu = [gi * u for gi in g]
+        p = np.convolve(wt * np.abs(u) ** 2, wt * np.abs(u) ** 2)
+    masses, rung_sums = [], []
+    for xy in CHANNEL_PAIRS:
+        mass = sum(gram[x][x2] * gram[y][y2] for x, y in xy for x2, y2 in xy).real
+        if h is not None:
+            a = sum(np.convolve(gu[x], gu[y]) for x, y in xy)
+            mass += 2.0 * (h @ a).real + np.abs(h) ** 2 @ p
+            rung_sums.append(a + np.conj(h) * p)
+        masses.append(float(mass))
+    return masses, rung_sums
+
+
+def window_terms(
+    inp: TwoPhotonInput,
+    params: NetworkParams,
+    grid: FrequencyGrid,
+    cfg: QuadConfig | None = None,
+    include_convolution: bool = True,
+) -> WindowTerms:
+    """The window part of probabilities from the per-frequency factors and
+    the 2n - 1 ladder rungs, without any n x n array (kappa > 0).
+
+    The refinement term compares the trapezoid sums with those on every
+    second node; an even point count has no such sub-grid, so both then
+    use the leading n - 1 points; fewer than 5 points give no estimate.
+    """
+    w, wt = grid.points, trapezoid_weights(grid)
+    f = single_factors(w, inp, params)
+    u = 1.0 / (w + (params.omega_c - 2j * params.kappa))
+    h = err = None
+    if include_convolution and params.kappa != 0.0:
+        s_prime, fj, fj_err = ladder(grid, inp, params, cfg)
+        h, err = s_prime * fj, np.abs(s_prime) * fj_err
+    masses, rung_sums = _window_sums(f, u, h, wt)
+    quadrature = float(sum(2.0 * c * (err @ np.abs(b)) for c, b in zip((0.5, 1.0, 0.5), rung_sums)))
+    edge_mass = 0.0
+    if h is not None:
+        # Rows 0 and n - 1 of |conv|^2 are |u_0 u_j h_j|^2 and |u_{n-1} u_j h_{n-1+j}|^2;
+        # columns 0 and n - 1 mirror them.
+        hh, uu = np.abs(h) ** 2, np.abs(u) ** 2
+        edge_mass = 2.0 * float((wt * uu) @ (uu[0] * hh[: grid.n] + uu[-1] * hh[grid.n - 1 :]))
+
+    m = grid.n - 1 + grid.n % 2
+    top = grid.max if m == grid.n else grid.max - grid.spacing
+
+    def sub_masses(step, sub):
+        hs = None if h is None else h[: 2 * m - 1 : step]
+        return _window_sums([v[:m:step] for v in f], u[:m:step], hs, trapezoid_weights(sub))[0]
+
+    refinement = 0.0
+    if m >= 5:
+        fine = masses if m == grid.n else sub_masses(1, FrequencyGrid(grid.min, top, m))
+        coarse = sub_masses(2, FrequencyGrid(grid.min, top, (m - 1) // 2 + 1))
+        refinement = sum(abs(a - b) / 3.0 for a, b in zip(fine, coarse))
+    return WindowTerms(tuple(masses), refinement, quadrature, edge_mass)
 
 
 def probabilities(
@@ -214,42 +276,21 @@ def probabilities(
     grid: FrequencyGrid,
     cfg: QuadConfig | None = None,
     include_convolution: bool = True,
-    use_shortcut: bool | None = None,
 ) -> ScatteringProbabilities:
     """Output-channel probabilities (P_LL, P_LR, P_RR).
 
-    P_LR integrates |T_LR|^2; the same-channel probabilities use the
-    symmetrized quarter-sum of |T|^2 and conj(T)[w1,w2] T[w2,w1], or the
-    equivalent half |T|^2 shortcut when the two input pulses are
-    structurally identical (``use_shortcut`` overrides the automatic
-    choice).  ``include_convolution`` exists as a diagnostic switch that
-    drops the nonlinear term everywhere.
+    P_LR integrates |T_LR|^2; T_LL and T_RR are symmetric in (omega1,
+    omega2), so P_LL and P_RR are half the integrals of their |T|^2.
+    ``include_convolution`` exists as a diagnostic switch that drops the
+    nonlinear term everywhere.
     """
     cfg = cfg or QuadConfig()
     if params.kappa == 0.0:
         # Pass-through network: the photons keep their (unit-norm) pulse
         # shapes and channels, so the split is exact.
         return ScatteringProbabilities(p_ll=0.0, p_lr=1.0, p_rr=0.0, total=1.0, est_error=0.0)
-    ga = channel_matrices(grid, inp, params, cfg, include_convolution)
-
-    def win2(m):
-        return integrate_grid_2d(m, grid, grid).real
-
-    # |T| once per channel, squared in place after quad_err (keeps peak memory flat).
-    abs_ll, abs_lr, abs_rr = np.abs(ga.ll), np.abs(ga.lr), np.abs(ga.rr)
-    quad_err = win2(2.0 * (0.5 * abs_ll + abs_lr + 0.5 * abs_rr) * ga.point_err)
-    dens_ll, dens_lr, dens_rr = (np.square(a, out=a) for a in (abs_ll, abs_lr, abs_rr))
-    if use_shortcut is None:
-        use_shortcut = inp.identical
-    if use_shortcut:
-        p_ll = 0.5 * win2(dens_ll)
-        p_rr = 0.5 * win2(dens_rr)
-    else:
-        swap_ll = np.real(np.conj(ga.ll) * ga.ll.T)
-        swap_rr = np.real(np.conj(ga.rr) * ga.rr.T)
-        p_ll = 0.25 * (win2(dens_ll) + win2(swap_ll))
-        p_rr = 0.25 * (win2(dens_rr) + win2(swap_rr))
-    p_lr = win2(dens_lr)
+    win = window_terms(inp, params, grid, cfg, include_convolution)
+    p_ll, p_lr, p_rr = 0.5 * win.masses[0], win.masses[1], 0.5 * win.masses[2]
 
     both_lorentzian = isinstance(inp.left, LorentzianPulse) and isinstance(
         inp.right, LorentzianPulse
@@ -260,21 +301,18 @@ def probabilities(
         and pulse_support(p)[1] <= grid.max
         for p in (inp.left, inp.right)
     )
-    model_err = 0.0
-    strip_err = 0.0
-    if both_lorentzian:
-        tails, strip_err = _tail_corrections(inp, params, grid, include_convolution, True)
-    elif supports_inside:
-        # Compact supports inside the window: the linear terms vanish out
-        # there and only a small convolution leak remains unmodeled.
-        tails = np.zeros(3)
-        model_err = _conv_strip_bound(ga.conv, grid)
+    if supports_inside:
+        # Compact supports inside the window: the linear terms vanish out there.
+        tails, strip_err = np.zeros(3), 0.0
     else:
-        # Mixed or out-of-window sampled pulses: linear strips are still
-        # well defined (sampled amplitudes are zero beyond their support);
-        # the convolution part out there has no closed form and is bounded.
-        tails, strip_err = _tail_corrections(inp, params, grid, include_convolution, False)
-        model_err = _conv_strip_bound(ga.conv, grid)
+        # Sampled amplitudes are zero beyond their support, so their linear
+        # strips are still well defined; Lorentzian tails get the closed-form
+        # convolution too.
+        tails, strip_err = _tail_corrections(inp, params, grid, include_convolution, both_lorentzian)
+    # Sampled pulses leave the convolution mass beyond the window unmodeled.
+    # It is bounded from the edges: |conv|^2 decays like the fourth power of
+    # the outgoing frequency, so a strip holds about its edge mass * W / 3.
+    model_err = 0.0 if both_lorentzian else win.edge_mass * 0.5 * (grid.max - grid.min) / 3.0
     if model_err > 1e-2:
         raise WindowTooNarrow(
             f"unmodeled out-of-window mass bound {model_err:.3e} exceeds 1e-2",
@@ -284,8 +322,7 @@ def probabilities(
     p_lr += tails[1]
     p_rr += 0.5 * tails[2]
 
-    trapz_err = sum(_trapezoid_refinement_error(d, grid) for d in (dens_ll, dens_lr, dens_rr))
-    est_error = quad_err + trapz_err + strip_err + model_err
+    est_error = win.quadrature + win.refinement + strip_err + model_err
 
     total = p_ll + p_lr + p_rr
     return ScatteringProbabilities(

@@ -28,8 +28,9 @@ independent of the engine, and the whole-line single-photon norm.
 Every contraction on the probabilities path stays on one core: after a
 threaded call OpenBLAS's second worker spins for about 0.1 s, which made
 a Lorentzian ``probabilities`` op cost twice its wall time in CPU.
-``integrate_grid_2d`` sums on numpy's own loops, and the engine's weight
-product stays below OpenBLAS's threaded sizes (see ``_BLOCK``).
+The engine's weight product stays below OpenBLAS's threaded sizes (see
+``_BLOCK``), the window is summed from vectors (observables), and
+``integrate_grid_2d`` sums on numpy's own loops.
 """
 
 from __future__ import annotations

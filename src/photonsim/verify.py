@@ -12,16 +12,18 @@ import numpy as np
 
 from . import kernels
 from .amplitudes import channel_matrices, t_ll, t_lr, t_lr_identical, t_rr
-from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
+from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput, tabulate_pulse
 from .observables import (
+    WindowTerms,
     conservation_check,
     hom_scan,
     probabilities,
     single_photon_norm,
     single_photon_probabilities,
+    window_terms,
 )
 from .oracle import compare_on_grid, conv_prefactor, residue_j
-from .quadrature import integrate_grid_2d
+from .quadrature import integrate_grid_2d, trapezoid_weights
 
 
 def _check_linear_unitarity(quick):
@@ -181,12 +183,64 @@ def _check_convolution_effect(quick):
     return (0.0 if shift > 1e-2 else 1.0), 0.5, f"dropping the convolution shifts P_LR by {shift:.3f}"
 
 
+def grid_window_reference(inp, params, grid, include_convolution=True) -> WindowTerms:
+    """window_terms the pointwise way, from the n x n channel_matrices."""
+    ga = channel_matrices(grid, inp, params, include_convolution=include_convolution)
+    absolute = [np.abs(t) for t in (ga.ll, ga.lr, ga.rr)]
+    dens = [a**2 for a in absolute]
+    m = grid.n - 1 + grid.n % 2
+    fine = grid if m == grid.n else FrequencyGrid(grid.min, grid.max - grid.spacing, m)
+    sub = FrequencyGrid(fine.min, fine.max, (m - 1) // 2 + 1)
+
+    def trapezoid(values, g, step=1):
+        cut = slice(0, g.n * step, step)
+        return integrate_grid_2d(values[cut, cut], g, g).real
+
+    refinement = sum(abs(trapezoid(d, fine) - trapezoid(d, sub, 2)) / 3.0 for d in dens) if m >= 5 else 0.0
+    edge_mass = 0.0
+    if ga.conv is not None:
+        c2 = np.abs(ga.conv) ** 2
+        edge_mass = float(trapezoid_weights(grid) @ (c2[0] + c2[-1] + c2[:, 0] + c2[:, -1]))
+    weight = 2.0 * (0.5 * absolute[0] + absolute[1] + 0.5 * absolute[2])
+    masses = tuple(trapezoid(d, grid) for d in dens)
+    return WindowTerms(masses, refinement, trapezoid(weight * ga.point_err, grid), edge_mass)
+
+
+def _check_window_vs_grid(quick):
+    # The factored window of probabilities against the n x n forms: masses,
+    # refinement and edge terms agree to rounding, and the quadrature term is
+    # at most the pointwise one.  Identical, distinct, double-pole
+    # (gamma_r = 4 kappa) and tabulated inputs, plus random draws.
+    lor = LorentzianPulse
+    tab = tabulate_pulse(lor(1.3, 0.5), FrequencyGrid(-20.0, 20.0, 81))
+    cases = [
+        ((lor(1.0), lor(1.0)), (1.5, 3.0)),
+        ((lor(0.6, 0.4), lor(1.8, -0.7)), (0.7, -1.3)),
+        ((lor(1.0), lor(2.0)), (0.5, 0.8)),
+        ((tab, lor(1.0)), (1.2, 0.4)),
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(0 if quick else 6):
+        gl, wl, gr, wr, k, wc = rng.uniform([0.3, -2, 0.3, -2, 0.3, -5], [4, 2, 4, 2, 4, 5])
+        cases.append(((lor(gl, wl), lor(gr, wr)), (k, wc)))
+    grid = FrequencyGrid(-40.0, 40.0, 161)
+    worst = 0.0
+    for pulses, (k, wc) in cases:
+        inp, params = TwoPhotonInput(*pulses), NetworkParams(k, wc)
+        got, want = window_terms(inp, params, grid), grid_window_reference(inp, params, grid)
+        for a, b in zip(got.masses + (got.refinement, got.edge_mass), want.masses + (want.refinement, want.edge_mass)):
+            worst = max(worst, abs(a - b))
+        worst = max(worst, got.quadrature - want.quadrature)
+    return worst, 1e-13, f"factored vs n x n window terms, {len(cases)} inputs on n={grid.n}"
+
+
 _CHECKS = [
     ("linear-response-unitarity", _check_linear_unitarity),
     ("kernel-conjugation-identity", _check_kernel_conjugation),
     ("oracle-vs-quadrature", _check_oracle_match),
     ("contour-side-consistency", _check_contour_sides),
     ("probability-conservation", _check_conservation),
+    ("window-vs-grid", _check_window_vs_grid),
     ("coupling-limits", _check_coupling_limits),
     ("identical-pulse-identities", _check_identical_identities),
     ("single-photon-unitarity", _check_single_photon),

@@ -2,11 +2,12 @@
 decomposition, and the single-photon observables."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from photonsim.amplitudes import Channel, JointAmplitude, amplitude_grid
+from photonsim.amplitudes import Channel, JointAmplitude, amplitude_grid, channel_matrices, ladder
 from photonsim.errors import ValidationError, ZeroAmplitude
 from photonsim.model import (
     FrequencyGrid,
@@ -15,15 +16,20 @@ from photonsim.model import (
     TwoPhotonInput,
     make_sampled_pulse,
     pulse_amplitude,
+    tabulate_pulse,
 )
 from photonsim.observables import (
+    _tail_corrections,
     conservation_check,
     hom_scan,
     probabilities,
     schmidt_report,
     single_photon_norm,
     single_photon_probabilities,
+    window_terms,
 )
+from photonsim.quadrature import trapezoid_weights
+from photonsim.verify import grid_window_reference
 
 PULSE = LorentzianPulse(1.0, 0.0)
 IDENTICAL = TwoPhotonInput(PULSE, PULSE)
@@ -61,14 +67,76 @@ def test_conservation_matrix_subset():
                 assert dev <= max(5.0 * p.est_error, 5e-3), (gamma, kappa, wc, dev)
 
 
-def test_identical_shortcut_vs_general_path():
-    params = NetworkParams(1.5, 0.0)
-    short = probabilities(IDENTICAL, params, GRID, use_shortcut=True)
-    general = probabilities(IDENTICAL, params, GRID, use_shortcut=False)
-    assert short.p_ll == short.p_rr
-    assert general.p_ll == pytest.approx(general.p_rr, abs=1e-6)
-    assert short.p_ll == pytest.approx(general.p_ll, abs=1e-6)
-    assert short.p_lr == general.p_lr
+def test_same_channel_amplitudes_are_symmetric():
+    # P_LL and P_RR are half the |T|^2 integrals because T_LL and T_RR are
+    # symmetric in (omega1, omega2), distinct pulses included; identical
+    # pulses give P_LL == P_RR bitwise.
+    p = probabilities(IDENTICAL, NetworkParams(1.5, 0.0), GRID)
+    assert p.p_ll == p.p_rr
+    inp = TwoPhotonInput(LorentzianPulse(0.6, 0.4), LorentzianPulse(1.8, -0.7))
+    ga = channel_matrices(GRID, inp, NetworkParams(0.7, -1.3))
+    for t in (ga.ll, ga.rr):
+        assert np.max(np.abs(t - t.T)) <= 1e-15 * np.max(np.abs(t))
+
+
+def _nxn_reference(inp, params, grid, include_convolution=True):
+    """(p_ll, p_lr, p_rr, total), the quadrature error term and the rest of
+    est_error, with the window summed over the n x n channel matrices."""
+    ref = grid_window_reference(inp, params, grid, include_convolution)
+    if isinstance(inp.left, LorentzianPulse) and isinstance(inp.right, LorentzianPulse):
+        tails, other_err = _tail_corrections(inp, params, grid, include_convolution, True)
+    else:  # compact supports inside the window: the convolution strip bound
+        tails, other_err = np.zeros(3), ref.edge_mass * (grid.max - grid.min) / 6.0
+    m = np.add(ref.masses, tails)
+    p = (0.5 * m[0], m[1], 0.5 * m[2])
+    return (*p, sum(p)), ref.quadrature, ref.refinement + other_err
+
+
+_TABULATED = tabulate_pulse(LorentzianPulse(1.3, 0.5), FrequencyGrid(-15.0, 15.0, 61))
+_DISTINCT = TwoPhotonInput(LorentzianPulse(0.88, 0.3), LorentzianPulse(1.7, -0.4))
+
+
+@pytest.mark.parametrize(
+    "inp, params, grid, include_convolution",
+    [
+        (IDENTICAL, NetworkParams(1.5, 3.0), FrequencyGrid(-40.0, 40.0, 801), True),
+        (_DISTINCT, NetworkParams(1.43, -0.63), FrequencyGrid(-40.0, 40.0, 80), True),
+        (_DISTINCT, NetworkParams(4.2, 8.4), FrequencyGrid(-40.0, 40.0, 200), True),
+        (_DISTINCT, NetworkParams(1.5, 0.3), FrequencyGrid(-40.0, 40.0, 801), False),
+        (_DISTINCT, NetworkParams(1e-4, 0.0), FrequencyGrid(-40.0, 40.0, 801), True),
+        (_DISTINCT, NetworkParams(20.0, 40.0), FrequencyGrid(-40.0, 40.0, 801), True),
+        (TwoPhotonInput(_TABULATED, _TABULATED), NetworkParams(1.5, 0.5), FrequencyGrid(-20.0, 20.0, 97), True),
+    ],
+    ids=["identical-801", "distinct-80", "distinct-200", "no-convolution", "kappa-1e-4", "kappa-20", "tabulated"],
+)
+def test_probabilities_match_nxn_reference(inp, params, grid, include_convolution):
+    p = probabilities(inp, params, grid, include_convolution=include_convolution)
+    want, quad, other_err = _nxn_reference(inp, params, grid, include_convolution)
+    got = (p.p_ll, p.p_lr, p.p_rr, p.total)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (got, want)
+    # Only the quadrature part of est_error changes, and never upward.
+    assert -1e-15 <= p.est_error - other_err <= quad + 1e-15
+
+
+def test_quadrature_term_sums_ladder_errors_per_rung():
+    # The ladder error e_k of rung k moves the window mass by at most
+    # 2 e_k |sum_{i+j=k} w_i w_j conj(T_ij) u_i u_j|, which by the triangle
+    # inequality is at most the pointwise 2 e_k sum |T_ij u_i u_j|.
+    grid = FrequencyGrid(-40.0, 40.0, 161)
+    params = NetworkParams(0.7, -1.3)
+    ga = channel_matrices(grid, _DISTINCT, params)
+    wt, w = trapezoid_weights(grid), grid.points
+    u = 1.0 / (w + params.omega_c - 2j * params.kappa)
+    s_prime, _, fj_err = ladder(grid, _DISTINCT, params)
+    uw = wt * u
+    want = 0.0
+    for c, t in zip((0.5, 1.0, 0.5), (ga.ll, ga.lr, ga.rr)):
+        flipped = (np.conj(t) * np.outer(uw, uw))[:, ::-1]
+        rungs = np.array([np.trace(flipped, offset=grid.n - 1 - k) for k in range(2 * grid.n - 1)])
+        want += 2.0 * c * (np.abs(s_prime) * fj_err) @ np.abs(rungs)
+    got = window_terms(_DISTINCT, params, grid).quadrature
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got <= grid_window_reference(_DISTINCT, params, grid).quadrature
 
 
 def test_distinct_pulse_conservation():
@@ -205,11 +273,24 @@ def test_probabilities_runs_on_one_core():
     # A matrix product in OpenBLAS's threaded sizes leaves its second
     # worker spinning for about 0.1 s, which doubles the CPU time of the
     # op without making it faster.  Distinct pulses with a detuned cavity
-    # take the swap path, the out-of-window tails and the vector-valued
-    # Gauss-Kronrod blocks.  Host steal only inflates wall time.
+    # take the out-of-window tails and the vector-valued Gauss-Kronrod
+    # blocks.  Host steal only inflates wall time.
     inp = TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))
     time.sleep(0.3)  # let workers woken by earlier tests go idle
     cpu, wall = time.process_time(), time.perf_counter()
     probabilities(inp, NetworkParams(0.7, -1.3), FrequencyGrid(-40.0, 40.0, 801))
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     assert cpu <= 1.25 * wall
+
+
+@pytest.mark.parametrize("inp", [IDENTICAL, TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))])
+def test_probabilities_builds_no_grid_matrix(inp):
+    # The window sums come from per-frequency vectors and the 2n - 1 ladder
+    # rungs; one complex 801 x 801 matrix alone would take 10 MB.
+    tracemalloc.start()
+    try:
+        probabilities(inp, NetworkParams(0.7, -1.3), FrequencyGrid(-40.0, 40.0, 801))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
