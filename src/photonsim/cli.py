@@ -204,14 +204,13 @@ def _resolve(ns_args: argparse.Namespace) -> dict:
     return merged
 
 
-def _auto_single_grid(pulse, params) -> FrequencyGrid:
+def _auto_single_grid(pulse) -> FrequencyGrid:
     """Pulse-scaled analysis window (about 40 linewidths half-width).
 
     The reported channel split is conditional on this window, which acts
     as the detection band; scaling it with the pulse rather than with
     kappa keeps the strong-coupling reflection visible in the summary.
     """
-    del params
     support = pulse_support(pulse)
     if support is not None:
         return FrequencyGrid(support[0], support[1], 20001)
@@ -224,7 +223,7 @@ def cmd_single(ns) -> int:
     pulse = _single_pulse(ns)
     params = _params(ns)
     cfg = _quad_config(ns)
-    grid = _parse_grid(ns["grid"]) if ns["grid"] else _auto_single_grid(pulse, params)
+    grid = _parse_grid(ns["grid"]) if ns["grid"] else _auto_single_grid(pulse)
     out = single_photon_output(pulse, grid, params)
     p_left, p_right = single_photon_probabilities(pulse, params, grid, cfg)
     norm = single_photon_norm(pulse, params, cfg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowTooNarrow
+from .errors import ShapeMismatch, WindowTooNarrow
 from .model import (
     FrequencyGrid,
     NetworkParams,
@@ -98,8 +98,6 @@ class SinglePhotonOutput:
         for name in ("eta_l", "eta_r"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != (self.grid.n,):
-                from .errors import ShapeMismatch
-
                 raise ShapeMismatch(f"{name} must have shape ({self.grid.n},)")
             arr = arr.copy()
             arr.setflags(write=False)

@@ -238,6 +238,7 @@ def pulse_norm_sq(pulse: PulseSpec, window: FrequencyGrid) -> float:
     window alone.
     """
     if isinstance(pulse, LorentzianPulse):
+        # Local import: quadrature imports this module.
         from .quadrature import QuadConfig, integrate_line
 
         res = integrate_line(

@@ -61,14 +61,7 @@ from .model import (
 from .oracle import residue_j
 # integrate_half_line_multi is called through this module's name, where
 # perfbench/tracing.py patches it.
-from .quadrature import (
-    QuadConfig,
-    integrate_half_line,
-    integrate_half_line_multi,
-    integrate_line,
-    integrate_lines,
-    trapezoid_weights,
-)
+from .quadrature import QuadConfig, integrate_half_line_multi, integrate_lines, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -423,11 +416,12 @@ def single_photon_probabilities(
 def single_photon_norm(pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig | None = None) -> float:
     """Whole-line norm of the single-photon output state,
     integral of |eta_L|^2 + |eta_R|^2; equals one for a unit-norm input
-    up to quadrature error because the response is pointwise unitary."""
+    up to quadrature error because the response is pointwise unitary.
+    The window around the pulse and its two mapped tails run as one
+    integrate_lines batch."""
     cfg = cfg or QuadConfig()
 
-    def f(nu):
-        nu = np.asarray(nu, dtype=float)
+    def f(nu, _line):
         t1, t2 = theta_arrays(nu, params)
         xi2 = np.abs(pulse_amplitude(pulse, nu)) ** 2
         return (np.abs(t1) ** 2 + np.abs(t2) ** 2) * xi2
@@ -445,8 +439,7 @@ def single_photon_norm(pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig 
         20.0 * params.kappa,
         4.0 * abs(params.omega_c) + 10.0,
     )
-    lo, hi = center - half, center + half
-    core = integrate_line(f, lo, hi, cfg, seeds=[center, -params.omega_c])
-    left = integrate_half_line(f, lo, -1, half, cfg)
-    right = integrate_half_line(f, hi, +1, half, cfg)
-    return float((core.value + left.value + right.value).real)
+    v, _, _ = integrate_lines(
+        f, center - half, center + half, cfg, seeds=[[center, -params.omega_c]], tails=True
+    )
+    return float(v[0].real)

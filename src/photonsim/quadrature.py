@@ -6,7 +6,7 @@ handles the outer 2D integrals, which reuse one uniform grid across
 emission, spectral analysis, and probabilities.  All routines are
 stateless; integrand closures must be pure and accept ndarray arguments.
 
-One batched adaptive engine does the production integrals.
+One batched adaptive engine (``_refine``) does every line integral.
 ``integrate_lines`` (windows, optionally with mapped tails) and
 ``integrate_half_line_multi`` (mapped half-lines with the caller's
 scale) refine many integrals at once, each with k >= 1 components and
@@ -16,14 +16,14 @@ block of ``_BLOCK`` panels, and each unconverged integral then bisects
 every panel whose error exceeds its fair share of the tolerance.  The
 convolution ladder (``j_lines``: one reduced convolution per distinct
 frequency sum of a grid), the out-of-window strip and corner masses of
-the probabilities and the single-photon channel masses run on it.  Ladder
-windows start from break points at the integrand's features; for
-Lorentzian pulses these are graded geometrically toward each feature's
-known pole distance, so bisection starts near the scale it must reach.
-``integrate_line`` and ``integrate_half_line`` refine one scalar
-integral, worst panel first, with the same rule; they serve the
-pointwise ``convolve_g`` that the residue oracle checks, as a path
-independent of the engine, and the whole-line single-photon norm.
+the probabilities, the single-photon masses and norm, and the pointwise
+``convolve_g`` run on it; ``integrate_line`` and ``j_line`` are one-line
+forms.  ``convolve_g`` integrates the full two-photon kernel rather
+than the ladder's reduced integrand, so the residue oracle that checks
+it tests this engine through a second formula.  Ladder windows start
+from break points at the integrand's features; for Lorentzian pulses
+these are graded geometrically toward each feature's known pole
+distance, so bisection starts near the scale it must reach.
 
 Every contraction on the probabilities path stays on one core: after a
 threaded call OpenBLAS's second worker spins for about 0.1 s, which made
@@ -35,8 +35,7 @@ The engine's weight product stays below OpenBLAS's threaded sizes (see
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,81 +118,6 @@ class QuadResult:
     value: complex
     abs_error_estimate: float
     evaluations: int
-
-
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod 7/15 panel; returns (value, error_estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    kron, gauss = h * (np.asarray(f(c + h * _NODES)) @ _WKG)
-    return complex(kron), float(abs(kron - gauss))
-
-
-def integrate_line(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=()) -> QuadResult:
-    """Adaptively integrate a complex-valued f over [a, b].
-
-    ``f`` must accept an ndarray of abscissae and return an ndarray.
-    Optional ``seeds`` are interior break points used for the initial
-    subdivision (placing them on known features avoids blind bisection).
-    Converged means the summed panel error is below
-    max(abs_tol, rel_tol * |value|); otherwise NoConvergence carries the
-    partial result.
-    """
-    cfg = cfg or QuadConfig()
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    breaks = [a] + sorted(x for x in set(float(s) for s in seeds) if a < x < b) + [b]
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    evals = 0
-    tie = 0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        val, err = _gk_panel(f, lo, hi)
-        evals += 15
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, tie, lo, hi, val, err))
-        tie += 1
-    splits = len(breaks) - 2
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if splits >= cfg.max_subdivisions:
-            raise NoConvergence(
-                f"line integral did not converge after {splits} subdivisions "
-                f"(error estimate {total_err:.3e})",
-                partial=QuadResult(total, total_err, evals),
-            )
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        vl, el = _gk_panel(f, lo, mid)
-        vr, er = _gk_panel(f, mid, hi)
-        evals += 30
-        total += vl + vr - val
-        total_err += el + er - err
-        heapq.heappush(heap, (-el, tie, lo, mid, vl, el))
-        heapq.heappush(heap, (-er, tie + 1, mid, hi, vr, er))
-        tie += 2
-        splits += 1
-    return QuadResult(total, total_err, evals)
-
-
-def integrate_half_line(f, edge: float, direction: int, scale: float, cfg: QuadConfig) -> QuadResult:
-    """Integrate f over (edge, +inf) or (-inf, edge) via u = scale/(scale+|x-edge|).
-
-    Requires |f| to decay at least ~1/x^2 so the mapped integrand stays
-    bounded toward u -> 0 (the Kronrod rule never evaluates u = 0 itself).
-    """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-
-    def mapped(u):
-        u = np.asarray(u, dtype=float)
-        x = edge + direction * scale * (1.0 - u) / u
-        return np.asarray(f(x)) * (scale / u**2)
-
-    # With this substitution du carries +scale/u^2 for either direction, so
-    # the mapped result already equals the half-line integral.
-    return integrate_line(mapped, 0.0, 1.0, cfg)
 
 
 # Panels per integrand call in the batched engine.  It bounds the
@@ -407,6 +331,17 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
     return _refine(f, m, seg, a, b, edge, step, budget, cfg, ("window", "left tail", "right tail"))
 
 
+def integrate_line(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=()) -> QuadResult:
+    """One line of integrate_lines: a complex-valued f(x) over [a, b],
+    with optional interior break points ``seeds``.  NoConvergence carries
+    the partial result."""
+    if not (a < b):
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    values, errors, evals = integrate_lines(lambda x, _line: f(x), a, b, cfg, seeds=seeds)
+    return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
+
+
 def integrate_half_line_multi(f, edge, direction, scale, cfg: QuadConfig | None = None):
     """Integrate m integrands over half-lines at once.
 
@@ -520,40 +455,6 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
     return lo, hi, np.concatenate(seeds, axis=1)
 
 
-def convolution_window(omega_sum: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig):
-    """convolution_windows for one frequency sum: (lo, hi, seeds inside
-    the window) or None when the window is empty."""
-    lo, hi, seeds = convolution_windows(omega_sum, inp, params, cfg)
-    lo, hi = float(lo[0]), float(hi[0])
-    if not lo < hi:
-        return None
-    return lo, hi, [float(x) for x in seeds[0] if lo < x < hi]
-
-
-def _line_with_tails(integrand, lo: float, hi: float, seeds, compact: bool, cfg: QuadConfig) -> QuadResult:
-    """Windowed adaptive integral plus numerically integrated tails.
-
-    The convolution integrands decay like 1/nu^4, so a bare window leaves
-    an O(W^-3) truncation error that can exceed the requested relative
-    tolerance; mapping each tail onto (0, 1] and integrating it removes
-    that error instead of merely bounding it.  Compact-support integrands
-    skip the tails.
-    """
-    res = integrate_line(integrand, lo, hi, cfg, seeds=seeds)
-    if compact:
-        return res
-    tail_cfg = replace(cfg, max_subdivisions=min(cfg.max_subdivisions, _TAIL_SUBDIVISIONS))
-    scale_lo = max(abs(lo), 10.0)
-    scale_hi = max(abs(hi), 10.0)
-    left = integrate_half_line(integrand, lo, -1, scale_lo, tail_cfg)
-    right = integrate_half_line(integrand, hi, +1, scale_hi, tail_cfg)
-    return QuadResult(
-        res.value + left.value + right.value,
-        res.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate,
-        res.evaluations + left.evaluations + right.evaluations,
-    )
-
-
 def convolve_g(
     omega1: float,
     omega2: float,
@@ -566,19 +467,20 @@ def convolve_g(
     Integrates amplitude_L(nu) * amplitude_R(omega1+omega2-nu) *
     g_kernel(omega1, omega2, nu, omega1+omega2-nu) over the real line,
     without the channel prefactor applied by the amplitude assembly.
-    Returns exactly zero for kappa = 0.
+    The full kernel, not j_lines' reduced form, makes this the second
+    path that the residue oracle checks.  It runs as one integrate_lines
+    line on the ladder's window and seeds, with mapped tails unless a
+    pulse has compact support: the integrand decays like 1/nu^4, so a
+    bare window would leave an O(W^-3) truncation error.  Returns exactly
+    zero for kappa = 0 and for an empty window.
     """
     cfg = cfg or QuadConfig()
     if params.kappa == 0.0:
         return QuadResult(0.0j, 0.0, 0)
     omega_sum = omega1 + omega2
-    win = convolution_window(omega_sum, inp, params, cfg)
-    if win is None:
-        return QuadResult(0.0j, 0.0, 0)
-    lo, hi, seeds = win
+    lo, hi, seeds = convolution_windows(omega_sum, inp, params, cfg)
 
-    def integrand(nu):
-        nu = np.asarray(nu, dtype=float)
+    def integrand(nu, _line):
         return (
             pulse_amplitude(inp.left, nu)
             * pulse_amplitude(inp.right, omega_sum - nu)
@@ -586,7 +488,8 @@ def convolve_g(
         )
 
     compact = pulse_support(inp.left) is not None or pulse_support(inp.right) is not None
-    return _line_with_tails(integrand, lo, hi, seeds, compact, cfg)
+    values, errors, evals = integrate_lines(integrand, lo, hi, cfg, seeds=seeds, tails=not compact)
+    return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
 
 
 def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None):

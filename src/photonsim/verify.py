@@ -2,8 +2,9 @@
 
 Each check returns its worst observed deviation together with the
 threshold it must stay under; the CLI renders the results as a PASS/FAIL
-table and a machine-readable report.  The full suite targets a two-minute
-budget, the quick subset about ten seconds.
+table and a machine-readable report.  The full suite takes about 1.8 s of
+CPU and the quick subset about 0.55 s (in-process, 2-core x86 host,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import numpy as np
 
 from . import kernels
 from .amplitudes import channel_matrices, t_ll, t_lr, t_lr_identical, t_rr
-from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput, tabulate_pulse
+from .model import (
+    FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput, pulse_amplitude, tabulate_pulse,
+)
 from .observables import (
     WindowTerms,
     conservation_check,
@@ -109,8 +112,6 @@ def _check_conservation(quick):
 
 
 def _check_coupling_limits(quick):
-    from .model import pulse_amplitude
-
     grid = FrequencyGrid(-12.0, 12.0, 60 if quick else 120)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(2.0))
     xi_l = pulse_amplitude(inp.left, grid.points)

@@ -1,7 +1,9 @@
 """Integration tests for the command-line interface: determinism, exit
 codes, config round trips, and output schemas."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from photonsim.model import (
 from photonsim.verify import run_verify
 
 GOLDEN = Path(__file__).parent / "data" / "amplitudes_lr_13.csv"
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def run_cli(*args):
@@ -90,6 +93,21 @@ def test_threads_flag_is_accepted_and_ignored(capsys):
     plain = capsys.readouterr().out
     assert run_cli(*flags, "--threads", "3") == 0
     assert capsys.readouterr().out == plain
+
+
+def test_tracer_sites_resolve(monkeypatch):
+    # The benchmark tracer patches photonsim functions by name; a renamed
+    # function would silently zero its counters instead of failing.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module.__name__}.{attr}" for module, attr, _ in tracing.SITES if not hasattr(module, attr)
+    ]
+    assert tracing.SITES
+    assert missing == []
 
 
 def test_probabilities_distinct_pulses(capsys):

@@ -18,7 +18,6 @@ from photonsim.quadrature import (
     QuadConfig,
     convolve_g,
     integrate_grid_2d,
-    integrate_half_line,
     integrate_half_line_multi,
     integrate_line,
     integrate_lines,
@@ -66,11 +65,29 @@ def test_no_convergence_carries_partial():
     assert partial.abs_error_estimate > 0
 
 
+def test_integrate_line_is_one_line_of_integrate_lines():
+    # The one-line form returns the batched engine's own numbers, bit for
+    # bit: value, error estimate and evaluation count.
+    def f(x):
+        return 1.0 / ((x - 0.3) ** 2 + 1e-4) + 1j * np.cos(3.0 * x)
+
+    cfg = QuadConfig(rel_tol=1e-12)
+    seeds = [0.0, 0.3, 7.5, 99.0]
+    res = integrate_line(f, -20.0, 40.0, cfg, seeds=seeds)
+    values, errors, evals = integrate_lines(lambda x, line: f(x), -20.0, 40.0, cfg, seeds=[seeds])
+    assert res.value == complex(values[0])
+    assert res.abs_error_estimate == float(errors[0])
+    assert res.evaluations == int(evals[0])
+    assert res.evaluations > 15 * len(seeds)  # it had to refine
+    with pytest.raises(ValueError):
+        integrate_line(f, 1.0, 1.0)
+
+
 def test_half_line_map():
-    res = integrate_half_line(lambda x: 1.0 / x**2, 1.0, +1, 5.0, QuadConfig())
-    assert res.value.real == pytest.approx(1.0, abs=1e-10)
-    res = integrate_half_line(lambda x: 1.0 / x**2, -1.0, -1, 5.0, QuadConfig())
-    assert res.value.real == pytest.approx(1.0, abs=1e-10)
+    values, _, _ = integrate_half_line_multi(lambda x, line: 1.0 / x**2, 1.0, +1, 5.0, QuadConfig())
+    assert values[0].real == pytest.approx(1.0, abs=1e-10)
+    values, _, _ = integrate_half_line_multi(lambda x, line: 1.0 / x**2, -1.0, -1, 5.0, QuadConfig())
+    assert values[0].real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_vector_half_lines_both_directions():
@@ -198,6 +215,32 @@ def test_convolve_matches_residue_oracle():
         got = convolve_g(w1, w2, inp, params).value
         want = residue_convolution(w1, w2, 1.0, 1.0, 0.0, params)
         assert abs(got - want) <= 1e-6 * max(abs(want), 1e-12)
+
+
+@pytest.mark.parametrize(
+    ("cfg", "omega1", "params", "piece"),
+    [
+        (
+            QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1),
+            0.3, NetworkParams(1.5, 0.0), "window",
+        ),
+        (
+            QuadConfig(abs_tol=1e-300, max_subdivisions=2, window_halfwidth=1e-3),
+            0.0, NetworkParams(1.0, 4.0), "left tail",
+        ),
+    ],
+)
+def test_convolve_no_convergence_names_the_piece(cfg, omega1, params, piece):
+    # A starved budget fails inside the one engine call, whose message
+    # names the piece (window, left tail or right tail) that ran out.
+    inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
+    with pytest.raises(NoConvergence) as exc_info:
+        convolve_g(omega1, -0.7, inp, params, cfg)
+    assert f"of its {piece} " in str(exc_info.value)
+    partial = exc_info.value.partial
+    assert partial is not None
+    assert partial.abs_error_estimate > 0
+    assert partial.evaluations > 0
 
 
 def test_convolve_window_doubling_consistent():
