@@ -13,13 +13,12 @@ outer products x(omega1) y(omega2), its (x, y) table (CHANNEL_PAIRS):
 reduced convolution at s = omega1 + omega2, to the linear parts.  The
 prefactor is u(omega1) u(omega2) s' F(s) (see sum_factor): callers pass
 F * J, one value per sum, and assemble multiplies in u u s' per node.
-Grid fills and the probabilities window take J from one batched
-Gauss-Kronrod ladder (``ladder``: quadrature.j_lines with one rung per
-distinct frequency sum, 2n - 1 on an n-point grid);
-amplitudes_at and t_ll/t_lr/t_rr one rung per point; the out-of-window
-integrals in observables the closed-form oracle.residue_j.
-t_lr_identical keeps its own rational form on the pointwise convolve_g
-as an independent second path.
+Grid fills and the tabulated probabilities window take J from one
+batched Gauss-Kronrod ladder (``ladder``: quadrature.j_lines with one
+rung per distinct frequency sum, 2n - 1 on an n-point grid), and
+amplitudes_at and t_ll/t_lr/t_rr one rung per point; no output path
+uses the closed-form oracle.residue_j.  t_lr_identical keeps its own
+rational form on the pointwise convolve_g as an independent second path.
 """
 
 from __future__ import annotations

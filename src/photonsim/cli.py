@@ -32,6 +32,7 @@ from .observables import (
     schmidt_report,
     single_photon_norm,
     single_photon_probabilities,
+    uses_grid,
 )
 from .kernels import single_photon_output
 from .quadrature import QuadConfig
@@ -297,6 +298,7 @@ def cmd_probabilities(ns) -> int:
         "omega_o": params.omega_o,
         "identical_pulses": inp.identical,
         "grid": ns["grid"],
+        "grid_used": uses_grid(inp),
         "version": __version__,
     }
     _write_output(_json_dumps(payload), ns.get("output"))
@@ -309,7 +311,7 @@ def cmd_hom(ns) -> int:
     grid = _parse_grid(ns["grid"])
     cfg = _quad_config(ns)
     rows = hom_scan(kappas, ns["ratio"], pulse, grid, cfg)
-    lines = _metadata_lines(ns)
+    lines = _metadata_lines(ns, {"grid_used": uses_grid(TwoPhotonInput(pulse, pulse))})
     lines.append("kappa,omega_c,p_lr,p_ll,p_rr")
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr)))
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probabilities", help="output-channel probabilities")
     _add_two_photon_flags(p)
-    p.add_argument("--grid", help="min:max:n")
+    p.add_argument("--grid", help="min:max:n; unused for Lorentzian pulses (see grid_used)")
     _add_common(p)
 
     p = sub.add_parser("hom", help="coincidence scan over coupling strengths")
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, help="omega_c = ratio * kappa")
     p.add_argument("--gamma", type=float)
     p.add_argument("--omega-o", dest="omega_o", type=float)
-    p.add_argument("--grid", help="min:max:n")
+    p.add_argument("--grid", help="min:max:n; unused for Lorentzian pulses (see grid_used)")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the oracle and invariant check suite")

@@ -1,36 +1,33 @@
 """Physical quantities derived from the joint amplitudes.
 
-Channel probabilities integrate |T|^2 over the plane.  The trapezoid
-window on the shared grid captures the bulk; the pulse-shaped tails
-beyond it (about gamma/(pi*W) of the mass per photon) are integrated
-explicitly over the four half-infinite strips and four corners, with
-the closed-form residue convolution supplying the amplitude out there
-for Lorentzian inputs: amplitudes.sum_factor times oracle.residue_j, both
-rational in omega1 + omega2 alone, which amplitudes.assemble scales by
-u(omega1) u(omega2) s' per node.  Strips and corners run on the batched
-Gauss-Kronrod engine (quadrature.integrate_half_line_multi): the strips
-as one batch of four mapped half-lines, the corners as one batch of four
-outer half-lines whose integrand integrates the inner half-line of
-every outer node as one more batch.  The result is a full-plane integral
-rather than a windowed one, which is what makes probability
-conservation meaningful at practical window sizes.
+Each channel is T = sum_t x_t(omega1) y_t(omega2) + u(omega1) u(omega2)
+h(omega1 + omega2), with the (x, y) pairs of amplitudes.CHANNEL_PAIRS,
+u = 1 / (omega + omega_c - 2i kappa) and h = s' F J on the reduced
+convolution J (amplitudes.sum_factor).  Over the plane
 
-The window builds no n x n array (window_terms).  On node (i, j) of the
-uniform grid each channel is T = sum_t x_t(i) y_t(j) + u_i u_j h_{i+j},
-with the (x, y) pairs of amplitudes.CHANNEL_PAIRS, u = 1 / (omega +
-omega_c - 2i kappa) and h_k = s'_k F_k J_k on ladder rung k.  With
-trapezoid weights w and <x, y> = sum w conj(x) y,
+    integral |T|^2 = sum_{t,t'} <x_t, x_t'> <y_t, y_t'>
+                     + integral ds [2 Re h(s) A(s) + |h(s)|^2 P(s)],
 
-    sum_ij w_i w_j |T_ij|^2 = sum_{t,t'} <x_t, x_t'> <y_t, y_t'>
-                              + 2 Re sum_k h_k A_k + sum_k |h_k|^2 P_k,
+A(s) = sum_t integral conj(x_t(nu) y_t(s - nu)) u(nu) u(s - nu) dnu and
+P(s) = integral |u(nu) u(s - nu)|^2 dnu = pi / (kappa (s'^2 + 16 kappa^2)).
+Lorentzian probabilities take this form without a grid: one engine line
+with mapped tails gives the 16 Gram entries of single_factors, and one
+outer line over s does the rest, each of its sweeps integrating J and the
+three A at its nodes as one inner batch (quadrature.convolution_windows).
+J stays on the engine, so --tol and NoConvergence hold, and the residue
+oracle stays independent.  est_error bounds the outer error plus how far
+the inner and Gram errors move the masses.
 
-where A = sum_t (w conj(x_t) u) * (w conj(y_t) u) and P = (w |u|^2) *
-(w |u|^2) are discrete convolutions over the 2n - 1 rungs.  To first
-order a ladder error e_k moves the sum by at most 2 e_k |B_k|, with
-B_k = A_k + conj(h_k) P_k.
-These sums (np.convolve, numpy's own loop) and the strip sums (einsum)
-avoid OpenBLAS's threaded sizes, whose idle spin doubled a Lorentzian
-op's CPU.
+Sampled pulses keep the trapezoid window (window_terms), the same algebra
+on the grid without any n x n array: with weights w, the Gram products
+plus 2 Re sum_k h_k A_k + sum_k |h_k|^2 P_k over the 2n - 1 ladder rungs,
+A = sum_t (w conj(x_t) u) * (w conj(y_t) u), P = (w |u|^2) * (w |u|^2).
+A ladder error e_k moves it by at most 2 e_k |A_k + conj(h_k) P_k| to
+first order.  Their linear mass beyond the window is exact (the pair
+sums of G_in + G_out less those of G_in, G_out from the two half-lines);
+their convolution out there stays unmodeled, bounded from the edges.
+These sums (np.convolve, numpy's own loop) avoid OpenBLAS's threaded
+sizes, whose idle spin doubled a Lorentzian op's CPU.
 """
 
 from __future__ import annotations
@@ -40,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/tracing.py patches channel_matrices and linear_parts at this import site.
+# perfbench/tracing.py patches channel_matrices and linear_parts at this
+# import site, so both stay importable here although no path below calls them.
 from .amplitudes import (  # noqa: F401
-    CHANNEL_PAIRS, JointAmplitude, assemble, channel_matrices, ladder, linear_parts, single_factors, sum_factor,
+    CHANNEL_PAIRS, JointAmplitude, channel_matrices, ladder, linear_parts, single_factors, sum_factor,
 )
-from .errors import ValidationError, WindowTooNarrow, ZeroAmplitude
+from .errors import NoConvergence, ValidationError, WindowTooNarrow, ZeroAmplitude
 from .kernels import theta_arrays
 from .model import (
     FrequencyGrid,
@@ -55,13 +53,16 @@ from .model import (
     TwoPhotonInput,
     pulse_amplitude,
     pulse_center,
-    pulse_support,
     pulse_width,
 )
-from .oracle import residue_j
+# perfbench/tracing.py also patches residue_j here: it counts closed-form
+# evaluations, which no production path makes any more.
+from .oracle import residue_j  # noqa: F401
 # integrate_half_line_multi is called through this module's name, where
 # perfbench/tracing.py patches it.
-from .quadrature import QuadConfig, integrate_half_line_multi, integrate_lines, trapezoid_weights
+from .quadrature import (
+    QuadConfig, convolution_windows, graded_seeds, integrate_half_line_multi, integrate_lines, trapezoid_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -112,110 +113,115 @@ class SchmidtReport:
     schmidt_number: float
 
 
+# The channel weights of p_ll, p_lr and p_rr in the masses of |T|^2.
+_CHANNEL_WEIGHTS = np.array([0.5, 1.0, 0.5])
+
+# The linear mass beyond a tabulated window is a small correction.
 _CORRECTION_CFG = QuadConfig(rel_tol=1e-6, abs_tol=1e-16, max_subdivisions=400)
 
 
-def _block_densities(w1, w2, inp, params, include_conv, conv_exact):
-    """(|T_LL|^2, |T_LR|^2, |T_RR|^2) at the broadcast pairs (w1, w2) (see
-    linear_parts), using the closed-form convolution when available."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    j = None
-    if include_conv and conv_exact and params.kappa > 0.0:
-        left, right = inp.left, inp.right
-        s = w1 + w2
-        j = sum_factor(s, params) * residue_j(s, left.gamma, right.gamma, left.omega_o, params, omega_o_r=right.omega_o)
-    ga = assemble(w1, w2, inp, params, j)
-    return np.abs(ga.ll) ** 2, np.abs(ga.lr) ** 2, np.abs(ga.rr) ** 2
+def _pair_masses(gram):
+    """Per channel, sum_{t,t'} <x_t, x_t'> <y_t, y_t'> over the (x, y) pairs
+    of CHANNEL_PAIRS, from the 4 x 4 Gram matrix of single_factors."""
+    return np.array([sum(gram[x][x2] * gram[y][y2] for x, y in xy for x2, y2 in xy).real for xy in CHANNEL_PAIRS])
 
 
-def _tail_corrections(inp, params, grid, include_conv, conv_exact):
-    """Mass of (|T_LL|^2, |T_LR|^2, |T_RR|^2) outside the window.
+def _gram_error(gram, err):
+    """Bound on the move of _pair_masses when every Gram entry moves by at
+    most err: the masses are bilinear in the entries."""
+    return _pair_masses(np.abs(gram) + err) - _pair_masses(np.abs(gram))
 
-    Integrates the four half-infinite strips (one frequency beyond the
-    window, the other on the grid) as one batch of half-lines, and the
-    four corners (both beyond) as one batch of outer half-lines whose
-    integrand runs the inner half-line of every outer node as one more
-    batch.  Returns (values (3,), quadrature error estimate).
-    """
-    w = grid.points
-    wt = trapezoid_weights(grid)
-    scale = max(grid.max - grid.min, 10.0)
-    # Half-line side 0 lies above the window, side 1 below it.
-    edges = np.array([grid.max, grid.min])
-    directions = np.array([1.0, -1.0])
 
-    def densities(w1, w2):
-        return _block_densities(w1, w2, inp, params, include_conv, conv_exact)
+def _gram_density(x, inp, params):
+    """The 16 Gram integrands conj(f_a) f_b of single_factors at x."""
+    fa = single_factors(x, inp, params)
+    return np.stack([np.conj(a) * b for a in fa for b in fa], axis=-1)
 
-    # Strip 2 * side + j: omega1 beyond the edge for j = 0, omega2 for j = 1.
-    def strip_f(x, strip):
-        out = np.empty(x.shape + (3,))
-        rows = strip[:, 0] % 2 == 0
-        for sel, beyond_first in ((rows, True), (~rows, False)):
-            if sel.any():
-                xs = x[sel].reshape(-1, 1)
-                dens = densities(xs, w) if beyond_first else densities(w, xs)
-                out[sel] = np.stack([np.einsum("ij,j->i", d, wt) for d in dens], axis=-1).reshape(-1, 15, 3)
-        return out
 
-    sides = np.repeat([0, 1], 2)
-    v, e, _ = integrate_half_line_multi(
-        strip_f, edges[sides], directions[sides], scale, _CORRECTION_CFG
-    )
-    values = v.real.sum(axis=0)
-    err = float(e.sum())
+def _graded_line(f, features, distances, cfg):
+    """(value, error estimate) of f over the real line: a window spanning
+    the graded seeds of the features plus its two mapped tails."""
+    seeds = graded_seeds(features, distances)
+    v, e, _ = integrate_lines(f, seeds.min(), seeds.max(), cfg, seeds=seeds[None, :], tails=True)
+    return v[0], e[0]
 
-    # Corner 2 * side1 + side2: omega1 beyond edges[side1], omega2 beyond edges[side2].
-    side1, side2 = np.repeat([0, 1], 2), np.tile([0, 1], 2)
 
-    def corner_f(x1, corner):
-        at = x1.ravel()
-        inner = side2[np.broadcast_to(corner, x1.shape).ravel()]
+def _whole_plane_masses(inp, params, cfg, include_convolution):
+    """Masses of |T_LL|^2, |T_LR|^2, |T_RR|^2 over the whole plane for
+    Lorentzian inputs, and the bound on their weighted error."""
+    k, wc = params.kappa, params.omega_c
+    c_l, c_r, g_l, g_r = pulse_center(inp.left), pulse_center(inp.right), inp.left.gamma / 2, inp.right.gamma / 2
+    g, g_err = _graded_line(lambda x, _line: _gram_density(x, inp, params), [c_l, c_r, -wc], [g_l, g_r, 2 * k], cfg)
+    gram = g.reshape(4, 4)
+    masses, err = _pair_masses(gram), _CHANNEL_WEIGHTS @ _gram_error(gram, g_err)
+    if not include_convolution:
+        return masses, err
+    den = wc - 2j * k
 
-        def inner_f(x2, node):
-            return np.stack(densities(at[node], x2), axis=-1)
+    def conv_density(s, _line):
+        # Per node: 2 Re h A + |h|^2 P per channel, and a bound on how far the
+        # inner errors e (max over J and the A) move their weighted sum.
+        sums = s.ravel()
 
-        mass, _, _ = integrate_half_line_multi(
-            inner_f, edges[inner], directions[inner], scale, _CORRECTION_CFG
-        )
-        return mass.real.reshape(x1.shape + (3,))
+        def inner(nu, rung):
+            mu = sums[rung] - nu
+            f1, f2 = single_factors(nu, inp, params), single_factors(mu, inp, params)
+            uu = 1.0 / ((nu + den) * (mu + den))
+            a = [np.conj(f1[x] * f2[y] + f1[x2] * f2[y2]) * uu for (x, y), (x2, y2) in CHANNEL_PAIRS]
+            # b = theta2 * pulse = 2i kappa u * pulse, so J's reduced integrand
+            # pulse_l(nu) pulse_r(mu) u(nu) u(mu) is b_l(nu) b_r(mu) / (2i kappa)^2.
+            return np.stack([f1[1] * f2[3] * (-0.25 / k**2), *a], axis=-1)
 
-    v, e, _ = integrate_half_line_multi(
-        corner_f, edges[side1], directions[side1], scale, _CORRECTION_CFG
-    )
-    return values + v.real.sum(axis=0), err + float(e.sum())
+        lo, hi, seeds = convolution_windows(sums, inp, params, cfg)
+        try:
+            v, e, _ = integrate_lines(inner, lo, hi, cfg, seeds=seeds, tails=True)
+        except NoConvergence as exc:
+            raise NoConvergence(
+                f"convolution did not converge at frequency sum {sums[exc.node]:g}: {exc}", partial=exc.partial
+            ) from exc
+        sp = sums + 2.0 * wc
+        spf = sp * sum_factor(sums, params)
+        h, a = spf * v[:, 0], v[:, 1:]
+        p = math.pi / (k * (sp**2 + 16.0 * k**2))
+        dens = 2.0 * (h[:, None] * a).real + (np.abs(h) ** 2 * p)[:, None]
+        bound = 2.0 * e * (np.abs(spf) * (np.abs(a) @ _CHANNEL_WEIGHTS + 2.0 * np.abs(h) * p) + 2.0 * np.abs(h))
+        return np.concatenate([dens, bound[:, None]], axis=1).reshape(s.shape + (4,))
+
+    features = [c_l + c_r, -2.0 * wc, c_l - wc, c_r - wc]  # the poles of h, A and P in s
+    v, v_err = _graded_line(conv_density, features, [g_l + g_r, 2 * k, g_l + 2 * k, g_r + 2 * k], cfg)
+    # The channel weights sum to 2.
+    return masses + v[:3].real, err + v[3].real + 2.0 * v_err
 
 
 @dataclass(frozen=True)
 class WindowTerms:
     """Trapezoid sums of |T_LL|^2, |T_LR|^2, |T_RR|^2 over grid x grid, the
-    refinement and ladder (quadrature) error terms of est_error, and the
-    mass of |conv|^2 along the four window edges."""
+    refinement and ladder (quadrature) error terms of est_error, the
+    mass of |conv|^2 along the four window edges, and the trapezoid Gram
+    matrix of single_factors on the grid."""
 
     masses: tuple
     refinement: float
     quadrature: float
     edge_mass: float
+    gram: np.ndarray | None = None
 
 
 def _window_sums(f, u, h, wt):
     """Per channel, the weighted sum of |T|^2 and, when there is a
-    convolution term h, the rung sums B (see the module docstring)."""
+    convolution term h, the rung sums B (see the module docstring); and
+    the trapezoid Gram matrix of f."""
     g = [wt * np.conj(v) for v in f]
-    gram = [[gi @ v for v in f] for gi in g]
+    gram = np.array([[gi @ v for v in f] for gi in g])
+    masses, rung_sums = _pair_masses(gram), []
     if h is not None:
         gu = [gi * u for gi in g]
         p = np.convolve(wt * np.abs(u) ** 2, wt * np.abs(u) ** 2)
-    masses, rung_sums = [], []
-    for xy in CHANNEL_PAIRS:
-        mass = sum(gram[x][x2] * gram[y][y2] for x, y in xy for x2, y2 in xy).real
-        if h is not None:
+        for c, xy in enumerate(CHANNEL_PAIRS):
             a = sum(np.convolve(gu[x], gu[y]) for x, y in xy)
-            mass += 2.0 * (h @ a).real + np.abs(h) ** 2 @ p
+            masses[c] += 2.0 * (h @ a).real + np.abs(h) ** 2 @ p
             rung_sums.append(a + np.conj(h) * p)
-        masses.append(float(mass))
-    return masses, rung_sums
+    return masses, rung_sums, gram
 
 
 def window_terms(
@@ -239,8 +245,8 @@ def window_terms(
     if include_convolution and params.kappa != 0.0:
         s_prime, fj, fj_err = ladder(grid, inp, params, cfg)
         h, err = s_prime * fj, np.abs(s_prime) * fj_err
-    masses, rung_sums = _window_sums(f, u, h, wt)
-    quadrature = float(sum(2.0 * c * (err @ np.abs(b)) for c, b in zip((0.5, 1.0, 0.5), rung_sums)))
+    masses, rung_sums, gram = _window_sums(f, u, h, wt)
+    quadrature = float(sum(2.0 * c * (err @ np.abs(b)) for c, b in zip(_CHANNEL_WEIGHTS, rung_sums)))
     edge_mass = 0.0
     if h is not None:
         # Rows 0 and n - 1 of |conv|^2 are |u_0 u_j h_j|^2 and |u_{n-1} u_j h_{n-1+j}|^2;
@@ -260,7 +266,35 @@ def window_terms(
         fine = masses if m == grid.n else sub_masses(1, FrequencyGrid(grid.min, top, m))
         coarse = sub_masses(2, FrequencyGrid(grid.min, top, (m - 1) // 2 + 1))
         refinement = sum(abs(a - b) / 3.0 for a, b in zip(fine, coarse))
-    return WindowTerms(tuple(masses), refinement, quadrature, edge_mass)
+    return WindowTerms(tuple(float(x) for x in masses), refinement, quadrature, edge_mass, gram)
+
+
+def _window_masses(inp, params, grid, cfg, include_convolution):
+    """Masses for sampled pulses and the bound on their weighted error: the
+    trapezoid window plus the exact linear mass beyond it, the pair sums of
+    G_in + G_out less those of G_in, with G_out from the two half-lines."""
+    win = window_terms(inp, params, grid, cfg, include_convolution)
+    g, g_err, _ = integrate_half_line_multi(
+        lambda x, _line: _gram_density(x, inp, params), [grid.max, grid.min], [1.0, -1.0],
+        max(grid.max - grid.min, 10.0), _CORRECTION_CFG,
+    )
+    gram = win.gram + g.sum(axis=0).reshape(4, 4)
+    # The convolution mass beyond the window stays unmodeled.  It is bounded
+    # from the edges: |conv|^2 decays like the fourth power of the outgoing
+    # frequency, so a strip holds about its edge mass * W / 3.
+    model_err = win.edge_mass * 0.5 * (grid.max - grid.min) / 3.0
+    if model_err > 1e-2:
+        raise WindowTooNarrow(
+            f"unmodeled out-of-window mass bound {model_err:.3e} exceeds 1e-2", tail_bound=model_err
+        )
+    masses = np.add(win.masses, _pair_masses(gram) - _pair_masses(win.gram))
+    return masses, win.quadrature + win.refinement + _CHANNEL_WEIGHTS @ _gram_error(gram, g_err.sum()) + model_err
+
+
+def uses_grid(inp: TwoPhotonInput) -> bool:
+    """Whether probabilities sums a window on its grid: sampled pulses do,
+    Lorentzian pairs are integrated over the whole plane without one."""
+    return not (isinstance(inp.left, LorentzianPulse) and isinstance(inp.right, LorentzianPulse))
 
 
 def probabilities(
@@ -274,6 +308,8 @@ def probabilities(
 
     P_LR integrates |T_LR|^2; T_LL and T_RR are symmetric in (omega1,
     omega2), so P_LL and P_RR are half the integrals of their |T|^2.
+    ``grid`` is the trapezoid window of sampled pulses; Lorentzian pairs
+    do not use it (uses_grid).
     ``include_convolution`` exists as a diagnostic switch that drops the
     nonlinear term everywhere.
     """
@@ -282,44 +318,14 @@ def probabilities(
         # Pass-through network: the photons keep their (unit-norm) pulse
         # shapes and channels, so the split is exact.
         return ScatteringProbabilities(p_ll=0.0, p_lr=1.0, p_rr=0.0, total=1.0, est_error=0.0)
-    win = window_terms(inp, params, grid, cfg, include_convolution)
-    p_ll, p_lr, p_rr = 0.5 * win.masses[0], win.masses[1], 0.5 * win.masses[2]
-
-    both_lorentzian = isinstance(inp.left, LorentzianPulse) and isinstance(
-        inp.right, LorentzianPulse
-    )
-    supports_inside = all(
-        pulse_support(p) is not None
-        and grid.min <= pulse_support(p)[0]
-        and pulse_support(p)[1] <= grid.max
-        for p in (inp.left, inp.right)
-    )
-    if supports_inside:
-        # Compact supports inside the window: the linear terms vanish out there.
-        tails, strip_err = np.zeros(3), 0.0
+    if uses_grid(inp):
+        masses, est_error = _window_masses(inp, params, grid, cfg, include_convolution)
     else:
-        # Sampled amplitudes are zero beyond their support, so their linear
-        # strips are still well defined; Lorentzian tails get the closed-form
-        # convolution too.
-        tails, strip_err = _tail_corrections(inp, params, grid, include_convolution, both_lorentzian)
-    # Sampled pulses leave the convolution mass beyond the window unmodeled.
-    # It is bounded from the edges: |conv|^2 decays like the fourth power of
-    # the outgoing frequency, so a strip holds about its edge mass * W / 3.
-    model_err = 0.0 if both_lorentzian else win.edge_mass * 0.5 * (grid.max - grid.min) / 3.0
-    if model_err > 1e-2:
-        raise WindowTooNarrow(
-            f"unmodeled out-of-window mass bound {model_err:.3e} exceeds 1e-2",
-            tail_bound=model_err,
-        )
-    p_ll += 0.5 * tails[0]
-    p_lr += tails[1]
-    p_rr += 0.5 * tails[2]
-
-    est_error = win.quadrature + win.refinement + strip_err + model_err
-
+        masses, est_error = _whole_plane_masses(inp, params, cfg, include_convolution)
+    p_ll, p_lr, p_rr = (float(x) for x in _CHANNEL_WEIGHTS * masses)
     total = p_ll + p_lr + p_rr
     return ScatteringProbabilities(
-        p_ll=p_ll, p_lr=p_lr, p_rr=p_rr, total=total, est_error=est_error
+        p_ll=p_ll, p_lr=p_lr, p_rr=p_rr, total=total, est_error=float(est_error)
     )
 
 
@@ -402,9 +408,9 @@ def single_photon_probabilities(
         xi2 = np.abs(pulse_amplitude(pulse, nu)) ** 2
         return np.stack([np.abs(t1) ** 2 * xi2, np.abs(t2) ** 2 * xi2], axis=-1)
 
-    seeds = [pulse_center(pulse), -params.omega_c]
+    seeds = graded_seeds([pulse_center(pulse), -params.omega_c], [0.5 * pulse_width(pulse), 2.0 * params.kappa])
     if isinstance(pulse, SampledPulse):
-        seeds.extend(pulse.grid.points)
+        seeds = np.concatenate([seeds, pulse.grid.points])
     v, _, _ = integrate_lines(f, grid.min, grid.max, cfg, seeds=[seeds])
     i_l, i_r = float(v[0, 0].real), float(v[0, 1].real)
     total = i_l + i_r
@@ -417,8 +423,7 @@ def single_photon_norm(pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig 
     """Whole-line norm of the single-photon output state,
     integral of |eta_L|^2 + |eta_R|^2; equals one for a unit-norm input
     up to quadrature error because the response is pointwise unitary.
-    The window around the pulse and its two mapped tails run as one
-    integrate_lines batch."""
+    A Lorentzian pulse's integral is one _graded_line."""
     cfg = cfg or QuadConfig()
 
     def f(nu, _line):
@@ -433,13 +438,5 @@ def single_photon_norm(pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig 
         t1, t2 = theta_arrays(pts, params)
         dens = (np.abs(t1) ** 2 + np.abs(t2) ** 2) * np.abs(pulse.values) ** 2
         return float(np.trapezoid(dens, pts))
-    center = pulse_center(pulse)
-    half = max(
-        200.0 * pulse_width(pulse),
-        20.0 * params.kappa,
-        4.0 * abs(params.omega_c) + 10.0,
-    )
-    v, _, _ = integrate_lines(
-        f, center - half, center + half, cfg, seeds=[[center, -params.omega_c]], tails=True
-    )
-    return float(v[0].real)
+    v, _ = _graded_line(f, [pulse_center(pulse), -params.omega_c], [0.5 * pulse.gamma, 2.0 * params.kappa], cfg)
+    return float(v.real)

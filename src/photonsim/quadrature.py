@@ -1,36 +1,27 @@
 """Complex-valued numerical integration.
 
-Adaptive Gauss-Kronrod (7/15 embedded pair) line integrals drive the
-nonlinear convolution; one tensor trapezoid rule (``integrate_grid_2d``)
-handles the outer 2D integrals, which reuse one uniform grid across
-emission, spectral analysis, and probabilities.  All routines are
-stateless; integrand closures must be pure and accept ndarray arguments.
-
-One batched adaptive engine (``_refine``) does every line integral.
-``integrate_lines`` (windows, optionally with mapped tails) and
-``integrate_half_line_multi`` (mapped half-lines with the caller's
-scale) refine many integrals at once, each with k >= 1 components and
-its own subdivision budget: the open panels of all of them live in flat
-arrays, every sweep evaluates the new panels with one integrand call per
-block of ``_BLOCK`` panels, and each unconverged integral then bisects
-every panel whose error exceeds its fair share of the tolerance.  The
-convolution ladder (``j_lines``: one reduced convolution per distinct
-frequency sum of a grid), the out-of-window strip and corner masses of
-the probabilities, the single-photon masses and norm, and the pointwise
-``convolve_g`` run on it; ``integrate_line`` and ``j_line`` are one-line
-forms.  ``convolve_g`` integrates the full two-photon kernel rather
-than the ladder's reduced integrand, so the residue oracle that checks
-it tests this engine through a second formula.  Ladder windows start
-from break points at the integrand's features; for Lorentzian pulses
-these are graded geometrically toward each feature's known pole
-distance, so bisection starts near the scale it must reach.
+One batched adaptive Gauss-Kronrod (7/15) engine, ``_refine``, does every
+line integral.  ``integrate_lines`` (windows, optionally with mapped
+tails) and ``integrate_half_line_multi`` (mapped half-lines) refine many
+integrals at once, each with k >= 1 components and its own subdivision
+budget: the open panels of all of them live in flat arrays, every sweep
+evaluates the new panels with one integrand call per block of ``_BLOCK``
+panels, and each unconverged integral then bisects every panel whose
+error exceeds its fair share of the tolerance.  It runs the convolution
+ladder (``j_lines``: one reduced convolution per distinct frequency sum),
+the whole-plane probabilities and the single-photon integrals, and the
+pointwise ``convolve_g``, whose full two-photon kernel lets the residue
+oracle test this engine through a second formula.  ``graded_seeds`` is
+the one seeding rule around features of known pole distance: break
+points graded geometrically toward it, so bisection starts near the
+scale it must reach.  ``integrate_grid_2d`` is the
+tensor trapezoid rule on the shared grid.
 
 Every contraction on the probabilities path stays on one core: after a
 threaded call OpenBLAS's second worker spins for about 0.1 s, which made
-a Lorentzian ``probabilities`` op cost twice its wall time in CPU.
-The engine's weight product stays below OpenBLAS's threaded sizes (see
-``_BLOCK``), the window is summed from vectors (observables), and
-``integrate_grid_2d`` sums on numpy's own loops.
+a Lorentzian ``probabilities`` op cost twice its wall time in CPU.  The
+engine's weight product stays below OpenBLAS's threaded sizes (see
+``_BLOCK``) and ``integrate_grid_2d`` sums on numpy's own loops.
 """
 
 from __future__ import annotations
@@ -124,8 +115,10 @@ class QuadResult:
 # (block, 15) node and value arrays; larger blocks were no faster and
 # raised peak memory (4096 panels: +27% resident set on a tabulated-pulse
 # fill).  It also keeps the (_BLOCK * k, 15) @ (15, 2) weight product of
-# k <= 3 components below OpenBLAS's gemm threading cutoff (768 rows run
-# on one core, 3840 on two); test_probabilities_runs_on_one_core guards it.
+# k <= 4 components below OpenBLAS's gemm threading cutoff (2048 rows run
+# on one core, 4096 on two); the 16-component Gram lines of observables
+# need fewer than 128 panels a sweep.  test_probabilities_runs_on_one_core
+# guards it.
 _BLOCK = 256
 
 # The ladder's half-line tails get a small fixed budget: their mapped
@@ -134,8 +127,19 @@ _BLOCK = 256
 _TAIL_SUBDIVISIONS = 50
 
 # Offsets, in units of a feature's pole distance, of the graded break
-# points that convolution_windows adds around each Lorentzian feature.
+# points that graded_seeds adds around each Lorentzian feature.
 _GRADING = 3.0 ** np.arange(6)
+
+
+def graded_seeds(features, distances):
+    """Break points at the features c (..., f) and at c +- d 3^j, j = 0..5,
+    with d (f,) each feature's pole distance: shape (..., 13 f).  They
+    start the panels near the scale that bisection would reach, instead
+    of halving from the window width."""
+    features = np.asarray(features, dtype=float)
+    steps = np.outer(distances, np.concatenate([-_GRADING, _GRADING])).ravel()
+    graded = np.repeat(features, 2 * _GRADING.size, axis=-1) + steps
+    return np.concatenate([features, graded], axis=-1)
 
 
 def _initial_panels(lo, hi, seeds):
@@ -192,11 +196,12 @@ def _gk_blocks(f, seg, a, b, seg_line, edge, step):
 
 
 def _segment_sums(seg, val, nseg):
-    """Per-segment sums (nseg, k) of panel values (panels, k)."""
-    return np.stack(
-        [np.bincount(seg, v.real, nseg) + 1j * np.bincount(seg, v.imag, nseg) for v in val.T],
-        axis=1,
-    )
+    """Per-segment sums (nseg, k) of panel values (panels, k), with one
+    bincount over (segment, component) bins for all k components."""
+    k = val.shape[1]
+    bins = (seg[:, None] * k + np.arange(k)).ravel()
+    sums = np.bincount(bins, val.real.ravel(), nseg * k) + 1j * np.bincount(bins, val.imag.ravel(), nseg * k)
+    return sums.reshape(nseg, k)
 
 
 def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
@@ -405,13 +410,11 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
     (the product of supports is empty), and seeds may fall outside
     their window or repeat.
 
-    The seeds are the four features.  When both pulses are Lorentzian,
-    each feature c also gets graded break points c +- d 3^j, j = 0..5,
-    with d its pole distance: gamma_l / 2 and gamma_r / 2 at the pulse
-    centres, 2 kappa at the kernel features.  Sampled pulses get their
-    interpolation kinks instead and no graded points: a tabulated ladder
-    usually converges on its kink panels alone, so grading around the
-    kernel features only added evaluations.
+    The seeds are the four features, graded (graded_seeds) when both
+    pulses are Lorentzian: pole distance gamma / 2 at a pulse centre, 2
+    kappa at a kernel feature.  Sampled pulses get their interpolation
+    kinks instead: a tabulated ladder usually converges on its kink panels
+    alone, so grading around the kernel features only added evaluations.
     """
     sums = np.atleast_1d(np.asarray(omega_sums, dtype=float))
     features = np.stack(
@@ -440,11 +443,8 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
         lo, hi = np.maximum(lo, sums - sup_r[1]), np.minimum(hi, sums - sup_r[0])
     seeds = [features]
     if isinstance(inp.left, LorentzianPulse) and isinstance(inp.right, LorentzianPulse):
-        # Break points at c +- d 3^j start the panels near the scale that
-        # bisection would reach, instead of halving from the window width.
-        d = np.array([inp.left.gamma / 2, inp.right.gamma / 2, 2 * params.kappa, 2 * params.kappa])
-        steps = np.outer(d, np.concatenate([-_GRADING, _GRADING])).ravel()
-        seeds.append(np.repeat(features, 2 * _GRADING.size, axis=1) + steps)
+        d = [inp.left.gamma / 2, inp.right.gamma / 2, 2 * params.kappa, 2 * params.kappa]
+        seeds = [graded_seeds(features, d)]
     # Sampled pulses are piecewise linear; seeding every interpolation
     # kink keeps the panels smooth instead of letting adaptivity chase
     # the kinks one bisection at a time.

@@ -2,7 +2,7 @@
 
 Each check returns its worst observed deviation together with the
 threshold it must stay under; the CLI renders the results as a PASS/FAIL
-table and a machine-readable report.  The full suite takes about 1.8 s of
+table and a machine-readable report.  The full suite takes about 1.4 s of
 CPU and the quick subset about 0.55 s (in-process, 2-core x86 host,
 Python 3.11).
 """

@@ -118,6 +118,20 @@ def test_probabilities_distinct_pulses(capsys):
     assert abs(payload["total"] - 1.0) <= 5e-3
 
 
+def test_grid_is_reported_unused_for_lorentzian_pulses(tmp_path, capsys):
+    # --grid stays accepted; the outputs say whether the probabilities used it.
+    assert run_cli("probabilities", "--kappa", "1.5", "--grid", "-8:8:17") == 0
+    assert json.loads(capsys.readouterr().out)["grid_used"] is False
+    pulse_path = tmp_path / "pulse.csv"
+    save_sampled_pulse(tabulate_pulse(LorentzianPulse(1.0), FrequencyGrid(-10.0, 10.0, 81)), pulse_path)
+    assert run_cli("probabilities", "--pulse-csv-l", str(pulse_path), "--pulse-csv-r", str(pulse_path),
+                   "--grid", "-12:12:97") == 0
+    assert json.loads(capsys.readouterr().out)["grid_used"] is True
+    out = tmp_path / "hom.csv"
+    assert run_cli("hom", "--kappas", "1", "--output", str(out)) == 0
+    assert "# grid_used = False" in out.read_text().splitlines()
+
+
 def test_single_strong_coupling_summary(tmp_path, capsys):
     out = tmp_path / "single.csv"
     assert run_cli("single", "--gamma", "1", "--omega-o", "0", "--kappa", "100",

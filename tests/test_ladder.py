@@ -18,7 +18,6 @@ from photonsim.model import (
     pulse_amplitude,
     tabulate_pulse,
 )
-from photonsim.observables import _block_densities
 from photonsim.oracle import residue_j
 from photonsim.quadrature import (
     QuadConfig,
@@ -70,13 +69,6 @@ def test_ladder_and_tail_oracle_with_different_centres():
         for close in ("upper", "lower"):
             want = residue_j(sums, gamma_l, gamma_r, wo_l, params, close, omega_o_r=wo_r)
             assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-9
-    # The out-of-window densities use that closed form; on the grid they
-    # must equal the ladder's amplitudes.
-    grid = FrequencyGrid(-4.0, 4.0, 9)
-    ga = channel_matrices(grid, inp, params)
-    dens = _block_densities(grid.points[:, None], grid.points[None, :], inp, params, True, True)
-    for got, amp in zip(dens, (ga.ll, ga.lr, ga.rr)):
-        np.testing.assert_allclose(got, np.abs(amp) ** 2, rtol=1e-9, atol=1e-15)
 
 
 def test_graded_seeds_cut_ladder_evaluations():

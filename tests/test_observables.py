@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import photonsim.observables
 from photonsim.amplitudes import Channel, JointAmplitude, amplitude_grid, channel_matrices, ladder
-from photonsim.errors import ValidationError, ZeroAmplitude
+from photonsim.errors import NoConvergence, ValidationError, ZeroAmplitude
 from photonsim.model import (
     FrequencyGrid,
     LorentzianPulse,
@@ -19,7 +20,6 @@ from photonsim.model import (
     tabulate_pulse,
 )
 from photonsim.observables import (
-    _tail_corrections,
     conservation_check,
     hom_scan,
     probabilities,
@@ -28,7 +28,7 @@ from photonsim.observables import (
     single_photon_probabilities,
     window_terms,
 )
-from photonsim.quadrature import trapezoid_weights
+from photonsim.quadrature import QuadConfig, trapezoid_weights
 from photonsim.verify import grid_window_reference
 
 PULSE = LorentzianPulse(1.0, 0.0)
@@ -81,15 +81,13 @@ def test_same_channel_amplitudes_are_symmetric():
 
 def _nxn_reference(inp, params, grid, include_convolution=True):
     """(p_ll, p_lr, p_rr, total), the quadrature error term and the rest of
-    est_error, with the window summed over the n x n channel matrices."""
+    est_error, with the window summed over the n x n channel matrices, for
+    sampled pulses whose supports lie inside the window: nothing linear
+    lies beyond it, and the convolution there is bounded from the edges."""
     ref = grid_window_reference(inp, params, grid, include_convolution)
-    if isinstance(inp.left, LorentzianPulse) and isinstance(inp.right, LorentzianPulse):
-        tails, other_err = _tail_corrections(inp, params, grid, include_convolution, True)
-    else:  # compact supports inside the window: the convolution strip bound
-        tails, other_err = np.zeros(3), ref.edge_mass * (grid.max - grid.min) / 6.0
-    m = np.add(ref.masses, tails)
+    m = ref.masses
     p = (0.5 * m[0], m[1], 0.5 * m[2])
-    return (*p, sum(p)), ref.quadrature, ref.refinement + other_err
+    return (*p, sum(p)), ref.quadrature, ref.refinement + ref.edge_mass * (grid.max - grid.min) / 6.0
 
 
 _TABULATED = tabulate_pulse(LorentzianPulse(1.3, 0.5), FrequencyGrid(-15.0, 15.0, 61))
@@ -99,15 +97,9 @@ _DISTINCT = TwoPhotonInput(LorentzianPulse(0.88, 0.3), LorentzianPulse(1.7, -0.4
 @pytest.mark.parametrize(
     "inp, params, grid, include_convolution",
     [
-        (IDENTICAL, NetworkParams(1.5, 3.0), FrequencyGrid(-40.0, 40.0, 801), True),
-        (_DISTINCT, NetworkParams(1.43, -0.63), FrequencyGrid(-40.0, 40.0, 80), True),
-        (_DISTINCT, NetworkParams(4.2, 8.4), FrequencyGrid(-40.0, 40.0, 200), True),
-        (_DISTINCT, NetworkParams(1.5, 0.3), FrequencyGrid(-40.0, 40.0, 801), False),
-        (_DISTINCT, NetworkParams(1e-4, 0.0), FrequencyGrid(-40.0, 40.0, 801), True),
-        (_DISTINCT, NetworkParams(20.0, 40.0), FrequencyGrid(-40.0, 40.0, 801), True),
         (TwoPhotonInput(_TABULATED, _TABULATED), NetworkParams(1.5, 0.5), FrequencyGrid(-20.0, 20.0, 97), True),
     ],
-    ids=["identical-801", "distinct-80", "distinct-200", "no-convolution", "kappa-1e-4", "kappa-20", "tabulated"],
+    ids=["tabulated"],
 )
 def test_probabilities_match_nxn_reference(inp, params, grid, include_convolution):
     p = probabilities(inp, params, grid, include_convolution=include_convolution)
@@ -116,6 +108,89 @@ def test_probabilities_match_nxn_reference(inp, params, grid, include_convolutio
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (got, want)
     # Only the quadrature part of est_error changes, and never upward.
     assert -1e-15 <= p.est_error - other_err <= quad + 1e-15
+
+
+# (p_ll, p_lr, p_rr, est_error) of the grid path that the whole-plane form
+# replaced for Lorentzian inputs (trapezoid window, strips and corners).
+@pytest.mark.parametrize(
+    "inp, params, grid, include_convolution, grid_path",
+    [
+        (IDENTICAL, NetworkParams(1.5, 3.0), FrequencyGrid(-40.0, 40.0, 801), True,
+         (0.428959271900503, 0.1420814393487675, 0.428959271900503, 3.5433170243705106e-07)),
+        (_DISTINCT, NetworkParams(1.43, -0.63), FrequencyGrid(-40.0, 40.0, 80), True,
+         (0.2090060951192671, 0.5855204723409848, 0.23525052213881215, 0.13864388350842904)),
+        (_DISTINCT, NetworkParams(4.2, 8.4), FrequencyGrid(-40.0, 40.0, 200), True,
+         (0.37632525351922846, 0.20635254198564046, 0.41728848580004774, 0.02612977465835076)),
+        (_DISTINCT, NetworkParams(1.5, 0.3), FrequencyGrid(-40.0, 40.0, 801), False,
+         (0.10215354736954277, 0.6778855816166347, 0.21996084963295873, 8.677704427106658e-07)),
+        (_DISTINCT, NetworkParams(20.0, 40.0), FrequencyGrid(-40.0, 40.0, 801), True,
+         (0.4125589202075998, 0.1661662851046649, 0.4212747712893305, 1.2932233614162393e-06)),
+    ],
+    ids=["identical-801", "distinct-80", "distinct-200", "no-convolution", "kappa-20"],
+)
+def test_lorentzian_probabilities_within_grid_path_error(inp, params, grid, include_convolution, grid_path):
+    p = probabilities(inp, params, grid, include_convolution=include_convolution)
+    moves = np.abs(np.subtract((p.p_ll, p.p_lr, p.p_rr), grid_path[:3]))
+    assert np.all(moves <= grid_path[3]), moves
+    assert abs(p.total - 1.0) <= 1e-12
+    assert 0.0 < p.est_error <= 1e-7
+
+
+# Exact P_LR for identical gamma = 1 pulses, confirmed independently of
+# this code; Richardson extrapolation of the grid path meets them to 1.3e-10.
+@pytest.mark.parametrize(
+    "kappa, omega_c, exact",
+    [(1.5, 0.0, 5 / 7), (1.0, 2.0, 61 / 325), (0.5, 1.0, 107 / 377)],
+    ids=["5-7", "61-325", "107-377"],
+)
+@pytest.mark.parametrize("tol", [None, 1e-6], ids=["default-tol", "tol-1e-6"])
+def test_p_lr_matches_exact_values(kappa, omega_c, exact, tol):
+    # QuadConfig as ``--tol`` sets it.
+    cfg = None if tol is None else QuadConfig(rel_tol=tol, abs_tol=min(1e-12, tol))
+    p = probabilities(IDENTICAL, NetworkParams(kappa, omega_c), GRID, cfg)
+    assert abs(p.p_lr - exact) <= p.est_error
+    if tol is None:
+        assert abs(p.p_lr - exact) <= 1e-12
+    assert abs(p.total - 1.0) <= 1e-12
+
+
+def test_probabilities_no_convergence_names_the_frequency_sum():
+    # A budget the inner convolution lines exhaust: the error names the
+    # frequency sum of the outer node, as the ladder names its rung.
+    cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=41)
+    with pytest.raises(NoConvergence, match="convolution did not converge at frequency sum"):
+        probabilities(IDENTICAL, NetworkParams(1.5, 0.0), GRID, cfg)
+
+
+@pytest.mark.parametrize("kappa, p_ll", [(1e-4, 3.9973346e-4), (1e-2, 0.0374593157101)], ids=["1e-4", "1e-2"])
+def test_small_kappa_p_ll(kappa, p_ll):
+    # Where theta varies on the scale 2 kappa, far below the default grid's
+    # spacing of 0.1, the trapezoid window was off by 0.06 without any
+    # check failing.  The pins are nested scalar quadrature values.
+    p = probabilities(IDENTICAL, NetworkParams(kappa, 0.0), FrequencyGrid(-40.0, 40.0, 801))
+    assert abs(p.p_ll - p_ll) <= 1e-9
+    assert abs(p.total - 1.0) <= 1e-12
+
+
+# A pulse tabulated beyond the window: its linear mass out there comes from
+# the Gram entries of the two half-lines.  (p_ll, p_lr, p_rr, total)
+# recorded from the strip and corner integrals that this replaced.
+_WIDE_TABULATED = tabulate_pulse(LorentzianPulse(1.0, 0.3), FrequencyGrid(-30.0, 30.0, 241))
+
+
+@pytest.mark.parametrize(
+    "right, params, want",
+    [
+        (_WIDE_TABULATED, NetworkParams(1.5, 0.5),
+         (0.14168254045924034, 0.7139925119650683, 0.14168254045924034, 0.997357592883549)),
+        (LorentzianPulse(1.4), NetworkParams(0.8, -0.6),
+         (0.3125092968175974, 0.3679671133765789, 0.3184554313119804, 0.9989318415061567)),
+    ],
+    ids=["tabulated", "mixed"],
+)
+def test_tabulated_pulse_beyond_the_window(right, params, want):
+    p = probabilities(TwoPhotonInput(_WIDE_TABULATED, right), params, FrequencyGrid(-12.0, 12.0, 97))
+    np.testing.assert_allclose((p.p_ll, p.p_lr, p.p_rr, p.total), want, rtol=0, atol=1e-9)
 
 
 def test_quadrature_term_sums_ladder_errors_per_rung():
@@ -263,6 +338,30 @@ def test_single_photon_norm_matrix():
             assert norm == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("kappa, omega_c", [(0.05, 1.0), (1.5, -2.0), (15.0, 3.0)])
+def test_single_photon_integrals_converge_from_graded_seeds(monkeypatch, kappa, omega_c):
+    # Break points graded toward the pulse and resonance poles leave each
+    # integral at most one bisection sweep; from the bare features the norm
+    # took 9 to 12 sweeps.
+    sweeps = []
+    real = photonsim.observables.integrate_lines
+
+    def counting(f, *args, **kwargs):
+        sweeps.append(0)
+
+        def g(x, line):
+            sweeps[-1] += 1
+            return f(x, line)
+
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(photonsim.observables, "integrate_lines", counting)
+    pulse, params = LorentzianPulse(0.7, 0.4), NetworkParams(kappa, omega_c)
+    assert single_photon_norm(pulse, params) == pytest.approx(1.0, abs=1e-13)
+    single_photon_probabilities(pulse, params, FrequencyGrid(-40.0, 40.0, 801))
+    assert sweeps and max(sweeps) <= 2, sweeps
+
+
 def test_probabilities_reports_error_estimate():
     p = probabilities(IDENTICAL, NetworkParams(1.5, 0.0), GRID)
     assert p.est_error > 0
@@ -273,8 +372,9 @@ def test_probabilities_runs_on_one_core():
     # A matrix product in OpenBLAS's threaded sizes leaves its second
     # worker spinning for about 0.1 s, which doubles the CPU time of the
     # op without making it faster.  Distinct pulses with a detuned cavity
-    # take the out-of-window tails and the vector-valued Gauss-Kronrod
-    # blocks.  Host steal only inflates wall time.
+    # take the whole-plane integrals, whose Gauss-Kronrod blocks carry 16
+    # (Gram) and 4 (convolution) components.  Host steal only inflates
+    # wall time.
     inp = TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))
     time.sleep(0.3)  # let workers woken by earlier tests go idle
     cpu, wall = time.process_time(), time.perf_counter()
@@ -285,8 +385,8 @@ def test_probabilities_runs_on_one_core():
 
 @pytest.mark.parametrize("inp", [IDENTICAL, TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))])
 def test_probabilities_builds_no_grid_matrix(inp):
-    # The window sums come from per-frequency vectors and the 2n - 1 ladder
-    # rungs; one complex 801 x 801 matrix alone would take 10 MB.
+    # Lorentzian masses come from line integrals and no grid; one complex
+    # 801 x 801 matrix alone would take 10 MB.
     tracemalloc.start()
     try:
         probabilities(inp, NetworkParams(0.7, -1.3), FrequencyGrid(-40.0, 40.0, 801))

@@ -17,6 +17,7 @@ from photonsim.oracle import residue_convolution
 from photonsim.quadrature import (
     QuadConfig,
     convolve_g,
+    graded_seeds,
     integrate_grid_2d,
     integrate_half_line_multi,
     integrate_line,
@@ -156,6 +157,16 @@ def test_half_line_no_convergence_names_lowest_failing_line():
     assert exc.partial.abs_error_estimate > 0 and exc.partial.evaluations > 0
     values, _, _ = integrate_half_line_multi(f, np.ones(5), 1, 1.0, QuadConfig())
     np.testing.assert_allclose(values[~hard].real, [[1.0, 2.0]] * 3, atol=1e-12)
+
+
+def test_graded_seeds():
+    # Each feature, then c +- d 3^j for j = 0..5, per row of features.
+    seeds = graded_seeds([[0.0, 10.0], [1.0, -1.0]], [0.5, 2.0])
+    assert seeds.shape == (2, 26)
+    np.testing.assert_array_equal(seeds[:, :2], [[0.0, 10.0], [1.0, -1.0]])
+    offsets = 3.0 ** np.arange(6)
+    want = np.concatenate([-0.5 * offsets, 0.5 * offsets, 10.0 - 2.0 * offsets, 10.0 + 2.0 * offsets])
+    np.testing.assert_array_equal(seeds[0, 2:], want)
 
 
 def test_grid_2d_constant():
