@@ -56,6 +56,14 @@ def theta_arrays(omegas: np.ndarray, params: NetworkParams):
     return (omegas + params.omega_c) / den, 2j * params.kappa / den
 
 
+def cmul(x, y):
+    """x * y, rounded as Python's complex product (up to the sign of a zero
+    part) for scalars and arrays alike: numpy's vectorised complex multiply
+    may fuse multiply-adds, so a batch would not round like the same
+    values taken one at a time."""
+    return x.real * y.real - x.imag * y.imag + 1j * (x.real * y.imag + x.imag * y.real)
+
+
 def g_kernel(omega1, omega2, nu1, nu2, params: NetworkParams):
     """Two-photon nonlinear kernel of the feedback loop.
 
@@ -75,7 +83,7 @@ def g_kernel(omega1, omega2, nu1, nu2, params: NetworkParams):
     s = nu1 + nu2 + 2.0 * wc
     out = (
         (-1j * k ** 1.5 / math.pi)
-        * ((s - 4j * k) / ((omega1 + wc + two_ik) * (omega2 + wc - two_ik)))
+        * ((s - 4j * k) / cmul(omega1 + wc + two_ik, omega2 + wc - two_ik))
         * (s / ((nu1 + wc - two_ik) * (nu2 + wc - two_ik) * (s - two_ik)))
     )
     return out

@@ -73,8 +73,9 @@ class FrequencyGrid:
         _require_finite("max", self.max)
         if self.min >= self.max:
             raise ValidationError(f"grid needs min < max, got [{self.min}, {self.max}]")
-        if int(self.n) != self.n or self.n < 3:
+        if int(_require_finite("n", self.n)) != self.n or self.n < 3:
             raise ValidationError(f"grid needs an integer n >= 3, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def spacing(self) -> float:
@@ -277,6 +278,8 @@ def make_sampled_pulse(grid: FrequencyGrid, values) -> SampledPulse:
     values = np.asarray(values, dtype=complex)
     if values.shape != (grid.n,):
         raise ValidationError(f"expected {grid.n} samples, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("pulse samples must be finite")
     normed, scale = _renormalized(grid, values)
     return SampledPulse(grid=grid, values=normed, scale_applied=scale)
 
@@ -310,6 +313,8 @@ def load_sampled_pulse(path) -> SampledPulse:
             rows.append(tuple(float(p) for p in parts))
         except ValueError as exc:
             raise ParseError(f"{path}:{k}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"{path}:{k}: fields must be finite numbers")
     if len(rows) < 3:
         raise ParseError(f"{path}: need at least 3 samples, got {len(rows)}")
     nu = np.array([r[0] for r in rows])

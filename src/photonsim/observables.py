@@ -13,7 +13,7 @@ P(s) = integral |u(nu) u(s - nu)|^2 dnu = pi / (kappa (s'^2 + 16 kappa^2)).
 Lorentzian probabilities take this form without a grid: one engine line
 with mapped tails gives the 16 Gram entries of single_factors, and one
 outer line over s does the rest, each of its sweeps integrating J and the
-three A at its nodes as one inner batch (quadrature.convolution_windows).
+three A at its nodes as one inner batch (quadrature.convolution_lines).
 J stays on the engine, so --tol and NoConvergence hold, and the residue
 oracle stays independent.  est_error bounds the outer error plus how far
 the inner and Gram errors move the masses.
@@ -42,7 +42,7 @@ import numpy as np
 from .amplitudes import (  # noqa: F401
     CHANNEL_PAIRS, JointAmplitude, channel_matrices, ladder, linear_parts, single_factors, sum_factor,
 )
-from .errors import NoConvergence, ValidationError, WindowTooNarrow, ZeroAmplitude
+from .errors import ValidationError, WindowTooNarrow, ZeroAmplitude
 from .kernels import theta_arrays
 from .model import (
     FrequencyGrid,
@@ -61,7 +61,7 @@ from .oracle import residue_j  # noqa: F401
 # integrate_half_line_multi is called through this module's name, where
 # perfbench/tracing.py patches it.
 from .quadrature import (
-    QuadConfig, convolution_windows, graded_seeds, integrate_half_line_multi, integrate_lines, trapezoid_weights,
+    QuadConfig, convolution_lines, graded_seeds, integrate_half_line_multi, integrate_lines, trapezoid_weights,
 )
 
 
@@ -163,8 +163,7 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
         # inner errors e (max over J and the A) move their weighted sum.
         sums = s.ravel()
 
-        def inner(nu, rung):
-            mu = sums[rung] - nu
+        def inner(nu, mu, _line):
             f1, f2 = single_factors(nu, inp, params), single_factors(mu, inp, params)
             uu = 1.0 / ((nu + den) * (mu + den))
             a = [np.conj(f1[x] * f2[y] + f1[x2] * f2[y2]) * uu for (x, y), (x2, y2) in CHANNEL_PAIRS]
@@ -172,13 +171,7 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
             # pulse_l(nu) pulse_r(mu) u(nu) u(mu) is b_l(nu) b_r(mu) / (2i kappa)^2.
             return np.stack([f1[1] * f2[3] * (-0.25 / k**2), *a], axis=-1)
 
-        lo, hi, seeds = convolution_windows(sums, inp, params, cfg)
-        try:
-            v, e, _ = integrate_lines(inner, lo, hi, cfg, seeds=seeds, tails=True)
-        except NoConvergence as exc:
-            raise NoConvergence(
-                f"convolution did not converge at frequency sum {sums[exc.node]:g}: {exc}", partial=exc.partial
-            ) from exc
+        v, e, _ = convolution_lines(inner, sums, inp, params, cfg)
         sp = sums + 2.0 * wc
         spf = sp * sum_factor(sums, params)
         h, a = spf * v[:, 0], v[:, 1:]

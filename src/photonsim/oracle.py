@@ -15,7 +15,10 @@ p_r - q_u; it cancels and leaves one rational in s = omega1 + omega2,
 which is regular where p_r meets q_u (gamma_R = 4 kappa, the degenerate
 manifold).  The lower closure keeps the raw residue sum as a cross-check.
 This module evaluates that closed form independently of the adaptive
-quadrature path and provides grid-level comparisons between the two.
+quadrature path.  compare_on_grid checks convolve_g against it on a grid,
+each path in one batched call; kernels.cmul keeps a batch rounding like
+the same values taken one at a time, so the report does not depend on
+batching.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
+from .kernels import cmul
 from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
 from .quadrature import QuadConfig, convolve_g
 
@@ -117,7 +121,7 @@ def residue_j(
         b = 2.0 * wc - 4j * k
         c_r = omega_o_r - wc + 1j * (0.5 * gamma_r + 2.0 * k)
         c_l = omega_o - wc + 1j * (0.5 * gamma_l + 2.0 * k)
-        value = (front * (a - b) / (c_r * c_l)) / ((omega_sum + a) * (omega_sum + b))
+        value = (front * (a - b) / (c_r * c_l)) / cmul(omega_sum + a, omega_sum + b)
     elif close == "lower":
         # Both lower poles stay simple on the degenerate manifold.
         p_l, p_r, q_u, q_l = _pole_locations(omega_sum, gamma_l, gamma_r, omega_o, omega_o_r, params)
@@ -138,35 +142,23 @@ def conv_prefactor(omega1, omega2, params: NetworkParams):
     k = params.kappa
     wc = params.omega_c
     s = np.asarray(omega1, dtype=float) + np.asarray(omega2, dtype=float) + 2.0 * wc
-    return (
-        (-1j * k ** 1.5 / math.pi)
-        * (s - 4j * k)
-        * s
-        / ((np.asarray(omega1) + wc + 2j * k) * (np.asarray(omega2) + wc - 2j * k) * (s - 2j * k))
-    )
+    den = cmul(cmul(np.asarray(omega1) + wc + 2j * k, np.asarray(omega2) + wc - 2j * k), s - 2j * k)
+    return (-1j * k ** 1.5 / math.pi) * (s - 4j * k) * s / den
 
 
-def residue_convolution(
-    omega1: float,
-    omega2: float,
-    gamma_l: float,
-    gamma_r: float,
-    omega_o: float,
-    params: NetworkParams,
-    cfg: QuadConfig | None = None,
-) -> complex:
-    """Closed-form value of the convolution integral for Lorentzian inputs.
+def residue_convolution(omega1, omega2, gamma_l: float, gamma_r: float, omega_o: float, params: NetworkParams):
+    """Closed-form value of the convolution integral for Lorentzian inputs,
+    broadcast over (omega1, omega2); a complex for scalar inputs.
 
     Independent of the adaptive quadrature path; used to validate it.
     """
-    del cfg  # accepted for signature parity with the quadrature path
     if params.kappa <= 0:
         raise ValidationError("residue form requires kappa > 0")
     if gamma_l <= 0 or gamma_r <= 0:
         raise ValidationError("residue form requires gamma > 0")
     pref = conv_prefactor(omega1, omega2, params)
-    j = residue_j(omega1 + omega2, gamma_l, gamma_r, omega_o, params)
-    return complex(pref * j)
+    value = cmul(pref, residue_j(np.add(omega1, omega2), gamma_l, gamma_r, omega_o, params))
+    return value if np.ndim(value) else complex(value)
 
 
 @dataclass(frozen=True)
@@ -198,36 +190,26 @@ def compare_on_grid(
 ) -> ComparisonReport:
     """Evaluate both convolution paths on grid x grid and report errors.
 
-    Relative errors are measured against the larger magnitude at each
-    node, with nodes below 1e-12 of the grid-wide peak treated as exact
-    zeros.  ``near_zero`` flags regimes (e.g. vanishing coupling) where
-    both paths are uniformly below 1e-8 in absolute value.
+    Each path is one batched call over the grid's pairs.  Relative errors
+    are measured against the larger magnitude at each node, with nodes
+    below 1e-12 of the grid-wide peak treated as exact zeros.
+    ``near_zero`` flags regimes (e.g. vanishing coupling) where both paths
+    are uniformly below 1e-8 in absolute value.
     """
-    cfg = cfg or QuadConfig()
-    pts = grid.points
-    inp = TwoPhotonInput(
-        LorentzianPulse(gamma=gamma_l, omega_o=omega_o),
-        LorentzianPulse(gamma=gamma_r, omega_o=omega_o),
-    )
-    records = []
-    peak = 0.0
-    for w1 in pts:
-        for w2 in pts:
-            q = convolve_g(float(w1), float(w2), inp, params, cfg).value
-            r = residue_convolution(float(w1), float(w2), gamma_l, gamma_r, omega_o, params)
-            records.append((float(w1), float(w2), q, r))
-            peak = max(peak, abs(r), abs(q))
-    floor = 1e-12 * peak
-    nodes = []
-    for w1, w2, q, r in records:
-        abs_err = abs(q - r)
-        denom = max(abs(q), abs(r))
-        rel_err = 0.0 if denom <= floor else abs_err / denom
-        nodes.append(NodeComparison(w1, w2, q, r, abs_err, rel_err))
-    nodes.sort(key=lambda nc: nc.rel_err, reverse=True)
+    w1, w2 = (w.ravel() for w in np.meshgrid(grid.points, grid.points, indexing="ij"))
+    inp = TwoPhotonInput(LorentzianPulse(gamma_l, omega_o), LorentzianPulse(gamma_r, omega_o))
+    q = convolve_g(w1, w2, inp, params, cfg).value
+    r = residue_convolution(w1, w2, gamma_l, gamma_r, omega_o, params)
+    # hypot rounds like abs() on one complex; numpy's vectorised abs may not.
+    abs_err, qa, ra = (np.hypot(z.real, z.imag) for z in (q - r, q, r))
+    denom = np.maximum(qa, ra)
+    peak = float(denom.max())
+    rel_err = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 1e-12 * peak)
+    columns = (a.tolist() for a in (w1, w2, q, r, abs_err, rel_err))
+    nodes = sorted(map(NodeComparison, *columns), key=lambda nc: nc.rel_err, reverse=True)
     worst = nodes[0]
     return ComparisonReport(
-        max_abs_err=max(nc.abs_err for nc in nodes),
+        max_abs_err=float(abs_err.max()),
         max_rel_err=worst.rel_err,
         worst_node=(worst.omega1, worst.omega2),
         near_zero=peak <= 1e-8,

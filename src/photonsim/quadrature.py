@@ -7,15 +7,18 @@ integrals at once, each with k >= 1 components and its own subdivision
 budget: the open panels of all of them live in flat arrays, every sweep
 evaluates the new panels with one integrand call per block of ``_BLOCK``
 panels, and each unconverged integral then bisects every panel whose
-error exceeds its fair share of the tolerance.  It runs the convolution
-ladder (``j_lines``: one reduced convolution per distinct frequency sum),
-the whole-plane probabilities and the single-photon integrals, and the
-pointwise ``convolve_g``, whose full two-photon kernel lets the residue
-oracle test this engine through a second formula.  ``graded_seeds`` is
-the one seeding rule around features of known pole distance: break
-points graded geometrically toward it, so bisection starts near the
-scale it must reach.  ``integrate_grid_2d`` is the
-tensor trapezoid rule on the shared grid.
+error exceeds its fair share of the tolerance.
+
+``convolution_lines`` is the one entry for integrals over nu at a set of
+frequency sums, with windows, seeds and tails from
+``convolution_windows``.  It runs the convolution ladder (``j_lines``:
+one reduced convolution per distinct frequency sum), the inner batch of
+the whole-plane probabilities, and ``convolve_g``, whose full two-photon
+kernel lets the residue oracle test this engine through a second
+formula.  ``graded_seeds`` is the one seeding rule around features of
+known pole distance: break points graded geometrically toward it, so
+bisection starts near the scale it must reach.  ``integrate_grid_2d`` is
+the tensor trapezoid rule on the shared grid.
 
 Every contraction on the probabilities path stays on one core: after a
 threaded call OpenBLAS's second worker spins for about 0.1 s, which made
@@ -95,7 +98,6 @@ class QuadConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    window_halfwidth: float | None = None  # None means automatic
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -163,8 +165,7 @@ def _gk_blocks(f, seg, a, b, seg_line, edge, step):
     over the k components of the Kronrod-Gauss difference.  Segments with
     step != 0 integrate in the mapped variable u,
     x = edge + step * (1 - u) / u with step = +-scale."""
-    val = None
-    err = np.empty(seg.size)
+    val, err = None, np.empty((0, 1))
     seg_mapped = step != 0.0
     for start in range(0, seg.size, _BLOCK):
         sl = slice(start, start + _BLOCK)
@@ -176,23 +177,18 @@ def _gk_blocks(f, seg, a, b, seg_line, edge, step):
             u = x[mapped]
             st = step[s[mapped]][:, None]
             x[mapped] = edge[s[mapped]][:, None] + st * (1.0 - u) / u
-        fx = np.asarray(f(x, seg_line[s][:, None]), dtype=complex)
+        # (r, 15, k) for scalar (k = 1) and vector integrands alike.
+        fx = np.asarray(f(x, seg_line[s][:, None]), dtype=complex).reshape(s.size, 15, -1)
         if mapped.any():
-            jac = np.abs(st) / u**2
-            fx[mapped] *= jac if fx.ndim == 2 else jac[:, :, None]
-        k = 1
-        if fx.ndim == 3:
-            # One row of 15 node values per panel and component.
-            k = fx.shape[2]
-            fx = fx.transpose(0, 2, 1).reshape(-1, 15)
-            h = np.repeat(h, k)
-        kron, gauss = (h[:, None] * (fx @ _WKG)).T
-        diff = np.abs(kron - gauss)
+            fx[mapped] *= (np.abs(st) / u**2)[:, :, None]
+        # One row of 15 node values per panel and component.
+        k = fx.shape[2]
+        kg = (fx.transpose(0, 2, 1).reshape(-1, 15) @ _WKG).reshape(-1, k, 2) * h[:, None, None]
         if val is None:
-            val = np.empty((seg.size, k), dtype=complex)
-        val[sl] = kron.reshape(-1, k)
-        err[sl] = diff if k == 1 else diff.reshape(-1, k).max(axis=1)
-    return val, err
+            val, err = np.empty((seg.size, k), dtype=complex), np.empty((seg.size, k))
+        val[sl] = kg[..., 0]
+        err[sl] = np.abs(kg[..., 0] - kg[..., 1])
+    return val, err.max(axis=1)
 
 
 def _segment_sums(seg, val, nseg):
@@ -397,18 +393,17 @@ def integrate_grid_2d(values: np.ndarray, grid1: FrequencyGrid, grid2: Frequency
     return complex(w1 @ np.einsum("ij,j->i", values, w2))
 
 
-def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig):
+def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams):
     """Integration windows and feature seeds for the nonlinear convolution.
 
     The integrand peaks where either pulse factor is centered and has
     kernel structure of width ~kappa at -omega_c and omega_sum + omega_c.
     The window covers all four features with a half-width of
-    max(50 * max pulse width, 50 * kappa, 10 * |omega_c|) (or the
-    configured override) and is clipped to the pulses' compact supports
-    when they have any.  Vectorised over ``omega_sums`` (m,): returns
-    (lo (m,), hi (m,), seeds (m, k)); a window with hi <= lo is empty
-    (the product of supports is empty), and seeds may fall outside
-    their window or repeat.
+    max(50 * max pulse width, 50 * kappa, 10 * |omega_c|) and is clipped
+    to the pulses' compact supports when they have any.  Vectorised over
+    ``omega_sums`` (m,): returns (lo (m,), hi (m,), seeds (m, k)); a
+    window with hi <= lo is empty (the product of supports is empty), and
+    seeds may fall outside their window or repeat.
 
     The seeds are the four features, graded (graded_seeds) when both
     pulses are Lorentzian: pole distance gamma / 2 at a pulse centre, 2
@@ -417,22 +412,10 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
     alone, so grading around the kernel features only added evaluations.
     """
     sums = np.atleast_1d(np.asarray(omega_sums, dtype=float))
-    features = np.stack(
-        np.broadcast_arrays(
-            pulse_center(inp.left),
-            sums - pulse_center(inp.right),
-            -params.omega_c,
-            sums + params.omega_c,
-        ),
-        axis=1,
-    )
-    half = cfg.window_halfwidth
-    if half is None:
-        half = max(
-            50.0 * max(pulse_width(inp.left), pulse_width(inp.right)),
-            50.0 * params.kappa,
-            10.0 * abs(params.omega_c),
-        )
+    wc = params.omega_c
+    centres = (pulse_center(inp.left), sums - pulse_center(inp.right), -wc, sums + wc)
+    features = np.stack(np.broadcast_arrays(*centres), axis=1)
+    half = max(50.0 * max(pulse_width(inp.left), pulse_width(inp.right)), 50.0 * params.kappa, 10.0 * abs(wc))
     lo = features.min(axis=1) - half
     hi = features.max(axis=1) + half
     sup_l = pulse_support(inp.left)
@@ -455,41 +438,59 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams, 
     return lo, hi, np.concatenate(seeds, axis=1)
 
 
-def convolve_g(
-    omega1: float,
-    omega2: float,
-    inp: TwoPhotonInput,
-    params: NetworkParams,
-    cfg: QuadConfig | None = None,
-) -> QuadResult:
+def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig):
+    """Integrate over nu at every frequency sum s in ``omega_sums`` (m,) as
+    one integrate_lines batch: ``integrand(nu, mu, line)`` gets mu = s - nu
+    and the line index, shaped as integrate_lines' x and line, and may be
+    vector-valued.  Windows and seeds come from convolution_windows, with
+    mapped tails unless a pulse has compact support: the convolution
+    integrands decay like 1/nu^4, so a bare window would leave an O(W^-3)
+    truncation error.  Returns what integrate_lines returns, or exact
+    zeros for kappa = 0, where the convolution term vanishes.
+    NoConvergence names the lowest failing frequency sum and sets
+    ``.node`` to its index.
+    """
+    sums = np.atleast_1d(np.asarray(omega_sums, dtype=float))
+    if params.kappa == 0.0:
+        return np.zeros(sums.size, dtype=complex), np.zeros(sums.size), np.zeros(sums.size, dtype=int)
+    lo, hi, seeds = convolution_windows(sums, inp, params)
+    compact = pulse_support(inp.left) is not None or pulse_support(inp.right) is not None
+    try:
+        return integrate_lines(
+            lambda nu, line: integrand(nu, sums[line] - nu, line), lo, hi, cfg, seeds=seeds, tails=not compact
+        )
+    except NoConvergence as exc:
+        raise NoConvergence(
+            f"convolution did not converge at frequency sum {sums[exc.node]:g} "
+            f"(line {exc.node} of {sums.size}): {exc}",
+            partial=exc.partial,
+            node=exc.node,
+        ) from exc
+
+
+def convolve_g(omega1, omega2, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> QuadResult:
     """Nonlinear convolution integral shared by all three output channels.
 
     Integrates amplitude_L(nu) * amplitude_R(omega1+omega2-nu) *
     g_kernel(omega1, omega2, nu, omega1+omega2-nu) over the real line,
     without the channel prefactor applied by the amplitude assembly.
     The full kernel, not j_lines' reduced form, makes this the second
-    path that the residue oracle checks.  It runs as one integrate_lines
-    line on the ladder's window and seeds, with mapped tails unless a
-    pulse has compact support: the integrand decays like 1/nu^4, so a
-    bare window would leave an O(W^-3) truncation error.  Returns exactly
-    zero for kappa = 0 and for an empty window.
+    path that the residue oracle checks.  Broadcasts over (omega1,
+    omega2): one convolution_lines line per pair, so a batch equals the
+    per-pair calls.  Returns a QuadResult of scalars for scalar inputs,
+    else of arrays shaped like the pairs; exactly zero for kappa = 0 and
+    for an empty window.
     """
-    cfg = cfg or QuadConfig()
-    if params.kappa == 0.0:
-        return QuadResult(0.0j, 0.0, 0)
-    omega_sum = omega1 + omega2
-    lo, hi, seeds = convolution_windows(omega_sum, inp, params, cfg)
-
-    def integrand(nu, _line):
-        return (
-            pulse_amplitude(inp.left, nu)
-            * pulse_amplitude(inp.right, omega_sum - nu)
-            * kernels.g_kernel(omega1, omega2, nu, omega_sum - nu, params)
-        )
-
-    compact = pulse_support(inp.left) is not None or pulse_support(inp.right) is not None
-    values, errors, evals = integrate_lines(integrand, lo, hi, cfg, seeds=seeds, tails=not compact)
-    return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
+    w1, w2 = np.broadcast_arrays(np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float))
+    shape, w1, w2 = w1.shape, w1.ravel(), w2.ravel()
+    values, errors, evals = convolution_lines(
+        lambda nu, mu, line: pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
+        * kernels.g_kernel(w1[line], w2[line], nu, mu, params),
+        w1 + w2, inp, params, cfg or QuadConfig(),
+    )
+    if not shape:
+        return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
+    return QuadResult(values.reshape(shape), errors.reshape(shape), evals.reshape(shape))
 
 
 def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None):
@@ -501,46 +502,23 @@ def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadCon
     The full convolution factors as a rational prefactor in
     (omega1, omega2) times this integral, which depends on the node only
     through omega1 + omega2; grid fills exploit that by computing one
-    rung per distinct frequency sum, all rungs in one integrate_lines
-    batch (windows and seeds from convolution_windows, tails unless a
-    pulse has compact support).  Returns (values, error estimates,
-    evaluations), one per sum.  NoConvergence names the lowest failing
-    frequency sum and sets ``.node`` to its index.
+    rung per distinct frequency sum, all rungs in one convolution_lines
+    batch.  Returns (values, error estimates, evaluations), one per sum;
+    NoConvergence names the lowest failing rung as convolution_lines does.
     """
-    cfg = cfg or QuadConfig()
-    sums = np.atleast_1d(np.asarray(omega_sums, dtype=float))
-    if params.kappa == 0.0:
-        return np.zeros(sums.size, dtype=complex), np.zeros(sums.size), np.zeros(sums.size, dtype=int)
-    lo, hi, seeds = convolution_windows(sums, inp, params, cfg)
     wc = params.omega_c
     two_ik = 2j * params.kappa
 
-    def integrand(nu, rung):
-        s = sums[rung]
+    def integrand(nu, mu, _line):
         return (
-            pulse_amplitude(inp.left, nu)
-            * pulse_amplitude(inp.right, s - nu)
-            / ((nu + wc - two_ik) * (s - nu + wc - two_ik))
+            pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
+            / ((nu + wc - two_ik) * (mu + wc - two_ik))
         )
 
-    compact = pulse_support(inp.left) is not None or pulse_support(inp.right) is not None
-    try:
-        return integrate_lines(integrand, lo, hi, cfg, seeds=seeds, tails=not compact)
-    except NoConvergence as exc:
-        raise NoConvergence(
-            f"convolution did not converge at frequency sum {sums[exc.node]:g} "
-            f"(ladder rung {exc.node}): {exc}",
-            partial=exc.partial,
-            node=exc.node,
-        ) from exc
+    return convolution_lines(integrand, omega_sums, inp, params, cfg or QuadConfig())
 
 
-def j_line(
-    omega_sum: float,
-    inp: TwoPhotonInput,
-    params: NetworkParams,
-    cfg: QuadConfig | None = None,
-) -> QuadResult:
+def j_line(omega_sum: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> QuadResult:
     """One rung of j_lines: the reduced convolution at one frequency sum."""
     values, errors, evals = j_lines(omega_sum, inp, params, cfg)
     return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))

@@ -2,8 +2,8 @@
 
 Each check returns its worst observed deviation together with the
 threshold it must stay under; the CLI renders the results as a PASS/FAIL
-table and a machine-readable report.  The full suite takes about 1.4 s of
-CPU and the quick subset about 0.55 s (in-process, 2-core x86 host,
+table and a machine-readable report.  The full suite takes about 1.3 s of
+CPU and the quick subset about 0.6 s (in-process, 2-core x86 host,
 Python 3.11).
 """
 

@@ -159,6 +159,21 @@ def test_single_pulse_csv(tmp_path, capsys):
     assert payload["norm"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_pulse_csv_exits_2(tmp_path, capsys, bad):
+    # Such a file once gave `single` exit 0, NaN rows and a "norm": NaN that
+    # is not JSON; probabilities failed late on "p_ll = nan".
+    path = tmp_path / "pulse.csv"
+    nu = np.linspace(-6.0, 6.0, 41)
+    re = [str(v) for v in np.exp(-(nu**2))]
+    re[20] = bad
+    path.write_text("nu,re,im\n" + "".join(f"{a!r},{b},0\n" for a, b in zip(nu.tolist(), re)))
+    for args in (["single", "--pulse-csv", str(path)],
+                 ["probabilities", "--pulse-csv-l", str(path), "--pulse-csv-r", str(path)]):
+        assert run_cli(*args, "--kappa", "1") == 2
+        assert "pulse.csv:22:" in capsys.readouterr().err
+
+
 def test_hom_scan_decreasing(tmp_path):
     out = tmp_path / "hom.csv"
     assert run_cli("hom", "--ratio", "2", "--kappas", "0.5,2,20", "--gamma", "1",

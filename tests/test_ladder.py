@@ -100,7 +100,7 @@ def test_tabulated_windows_seed_only_features_and_kinks():
     inp = tabulated_input(0.5)
     params = NetworkParams(1.2, 0.7)
     sums = ladder_sums(FrequencyGrid(-12.0, 12.0, 25))
-    _, _, seeds = convolution_windows(sums, inp, params, QuadConfig())
+    _, _, seeds = convolution_windows(sums, inp, params)
     kinks = inp.left.grid.points
     want = np.column_stack(
         [
@@ -123,7 +123,7 @@ def test_ladder_matches_scalar_integrator_on_tabulated_pulses():
     values, _, _ = j_lines(sums, inp, params, cfg)
     wc, two_ik = params.omega_c, 2j * params.kappa
     for s, got in zip(sums, values):
-        lo, hi, seeds = convolution_windows(s, inp, params, cfg)
+        lo, hi, seeds = convolution_windows(s, inp, params)
         lo, hi, seeds = float(lo[0]), float(hi[0]), seeds[0]
         if not lo < hi:
             assert got == 0.0

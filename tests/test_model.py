@@ -51,6 +51,18 @@ def test_frequency_grid_validation():
     assert np.allclose(g.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
+def test_frequency_grid_stores_an_integer_count():
+    # A float count that is an integer is accepted and stored as an int, so
+    # points works and equal grids compare and hash equal.
+    g = FrequencyGrid(0.0, 1.0, 5.0)
+    assert type(g.n) is int
+    assert np.array_equal(g.points, FrequencyGrid(0.0, 1.0, 5).points)
+    assert g == FrequencyGrid(0.0, 1.0, 5) and hash(g) == hash(FrequencyGrid(0.0, 1.0, 5))
+    for bad in (5.5, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            FrequencyGrid(0.0, 1.0, bad)
+
+
 def test_lorentzian_amplitude_at_center():
     # Hand evaluation at the line center: prefactor over -gamma/2.
     val = pulse_amplitude(LorentzianPulse(gamma=1.0, omega_o=0.0), 0.0)
@@ -146,6 +158,17 @@ def test_load_rejects_malformed(tmp_path):
         load_sampled_pulse(path)
     path.write_text("nu,re,im\n0,1,0\n1,0,0\n5,0,0\n")
     with pytest.raises(ParseError):
+        load_sampled_pulse(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_samples_are_rejected(tmp_path, bad):
+    grid = FrequencyGrid(0.0, 2.0, 3)
+    with pytest.raises(ValidationError):
+        make_sampled_pulse(grid, [1.0, float(bad), 0.5])
+    path = tmp_path / "bad.csv"
+    path.write_text(f"nu,re,im\n0,1,0\n1,{bad},0\n2,0.5,0\n")
+    with pytest.raises(ParseError, match=":3:"):
         load_sampled_pulse(path)
 
 

@@ -158,8 +158,9 @@ def test_probabilities_no_convergence_names_the_frequency_sum():
     # A budget the inner convolution lines exhaust: the error names the
     # frequency sum of the outer node, as the ladder names its rung.
     cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=41)
-    with pytest.raises(NoConvergence, match="convolution did not converge at frequency sum"):
+    with pytest.raises(NoConvergence, match="convolution did not converge at frequency sum") as exc_info:
         probabilities(IDENTICAL, NetworkParams(1.5, 0.0), GRID, cfg)
+    assert exc_info.value.node is not None
 
 
 @pytest.mark.parametrize("kappa, p_ll", [(1e-4, 3.9973346e-4), (1e-2, 0.0374593157101)], ids=["1e-4", "1e-2"])

@@ -131,6 +131,40 @@ def test_compare_on_grid_small():
     assert rels == sorted(rels, reverse=True)
 
 
+def test_residue_convolution_batch_equals_per_pair_calls():
+    params = NetworkParams(0.9, 0.4)
+    w = np.linspace(-5.0, 5.0, 9)
+    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    batch = residue_convolution(w1, w2, 0.7, 1.9, 0.2, params)
+    assert batch.shape == (9, 9)
+    for idx in np.ndindex(9, 9):
+        one = residue_convolution(float(w1[idx]), float(w2[idx]), 0.7, 1.9, 0.2, params)
+        assert type(one) is complex and one == batch[idx]
+
+
+@pytest.mark.parametrize("wc", [0.0, 3.0])
+def test_compare_on_grid_matches_per_node_calls(wc):
+    # The batched report holds, node by node and in the same order, what
+    # scalar calls of both paths give.
+    grid = FrequencyGrid(-6.0, 6.0, 7)
+    params = NetworkParams(1.5, wc)
+    report = compare_on_grid(grid, 1.0, 1.0, 0.0, params)
+    inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
+    rows = []
+    for w1 in grid.points:
+        for w2 in grid.points:
+            q = convolve_g(float(w1), float(w2), inp, params).value
+            r = residue_convolution(float(w1), float(w2), 1.0, 1.0, 0.0, params)
+            rows.append((float(w1), float(w2), q, r, abs(q - r), max(abs(q), abs(r))))
+    floor = 1e-12 * max(row[5] for row in rows)
+    want = [(*row[:5], 0.0 if row[5] <= floor else row[4] / row[5]) for row in rows]
+    want.sort(key=lambda row: row[5], reverse=True)
+    got = [(n.omega1, n.omega2, n.quadrature, n.residue, n.abs_err, n.rel_err) for n in report.nodes]
+    assert got == want
+    assert report.max_abs_err == max(row[4] for row in want)
+    assert (report.max_rel_err, report.worst_node) == (want[0][5], want[0][:2])
+
+
 def test_compare_on_grid_near_zero_regime():
     # Even node count keeps omega = -omega_c off the grid; on that line
     # the channel prefactor contributes 1/kappa and the amplitude only

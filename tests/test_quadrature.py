@@ -12,10 +12,12 @@ from photonsim.model import (
     NetworkParams,
     TwoPhotonInput,
     pulse_amplitude,
+    tabulate_pulse,
 )
 from photonsim.oracle import residue_convolution
 from photonsim.quadrature import (
     QuadConfig,
+    QuadResult,
     convolve_g,
     graded_seeds,
     integrate_grid_2d,
@@ -228,38 +230,64 @@ def test_convolve_matches_residue_oracle():
         assert abs(got - want) <= 1e-6 * max(abs(want), 1e-12)
 
 
-@pytest.mark.parametrize(
-    ("cfg", "omega1", "params", "piece"),
-    [
-        (
-            QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1),
-            0.3, NetworkParams(1.5, 0.0), "window",
-        ),
-        (
-            QuadConfig(abs_tol=1e-300, max_subdivisions=2, window_halfwidth=1e-3),
-            0.0, NetworkParams(1.0, 4.0), "left tail",
-        ),
-    ],
-)
-def test_convolve_no_convergence_names_the_piece(cfg, omega1, params, piece):
+def test_convolve_no_convergence_names_the_piece():
     # A starved budget fails inside the one engine call, whose message
     # names the piece (window, left tail or right tail) that ran out.
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
+    cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
     with pytest.raises(NoConvergence) as exc_info:
-        convolve_g(omega1, -0.7, inp, params, cfg)
-    assert f"of its {piece} " in str(exc_info.value)
+        convolve_g(0.3, -0.7, inp, NetworkParams(1.5, 0.0), cfg)
+    assert "of its window " in str(exc_info.value)
     partial = exc_info.value.partial
     assert partial is not None
     assert partial.abs_error_estimate > 0
     assert partial.evaluations > 0
 
 
-def test_convolve_window_doubling_consistent():
-    inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
-    params = NetworkParams(1.5, 0.0)
-    auto = convolve_g(0.4, -0.9, inp, params, QuadConfig())
-    wide = convolve_g(0.4, -0.9, inp, params, QuadConfig(window_halfwidth=150.0))
-    assert abs(auto.value - wide.value) <= auto.abs_error_estimate + wide.abs_error_estimate + 1e-14
+def test_integrate_lines_names_the_starved_tail():
+    # Line 1 has a narrow peak beyond its window's left edge.  Its window
+    # converges, and its left tail runs out of a budget of 2 subdivisions.
+    cfg = QuadConfig(abs_tol=1e-300, max_subdivisions=2)
+
+    def f(x, line):
+        return 1.0 / (1.0 + x**2) + line / (1e-4 + (x + 30.0) ** 2)
+
+    integrate_lines(f, [-1.0, -1.0], [1.0, 1.0], cfg)
+    with pytest.raises(NoConvergence) as exc_info:
+        integrate_lines(f, [-1.0, -1.0], [1.0, 1.0], cfg, tails=True)
+    assert exc_info.value.node == 1
+    assert "of its left tail " in str(exc_info.value)
+    partial = exc_info.value.partial
+    assert partial is not None
+    assert partial.abs_error_estimate > 0
+    assert partial.evaluations > 0
+
+
+_TABULATED = tabulate_pulse(LorentzianPulse(0.8, 0.5), FrequencyGrid(-10.0, 10.0, 81))
+
+
+@pytest.mark.parametrize(
+    ("inp", "params"),
+    [
+        (TwoPhotonInput(LorentzianPulse(0.6, 0.3), LorentzianPulse(1.8, -0.4)), NetworkParams(0.7, -1.3)),
+        (TwoPhotonInput(_TABULATED, LorentzianPulse(1.3)), NetworkParams(1.5, 0.5)),
+        (TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0)), NetworkParams(0.0)),
+    ],
+    ids=["distinct-lorentzian", "tabulated-x-lorentzian", "zero-coupling"],
+)
+def test_convolve_batch_equals_per_pair_calls(inp, params):
+    # One engine line per pair: a batch reproduces the scalar calls bit for
+    # bit, in value, error estimate and evaluation count.
+    w = np.linspace(-5.0, 5.0, 9)
+    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    batch = convolve_g(w1, w2, inp, params)
+    assert batch.value.shape == batch.abs_error_estimate.shape == batch.evaluations.shape == (9, 9)
+    for idx in np.ndindex(9, 9):
+        one = convolve_g(float(w1[idx]), float(w2[idx]), inp, params)
+        assert isinstance(one.value, complex)
+        assert one == QuadResult(batch.value[idx], batch.abs_error_estimate[idx], batch.evaluations[idx])
+    if params.kappa == 0.0:
+        assert not batch.value.any() and not batch.evaluations.any()
 
 
 def test_convolve_reversal_symmetry_identical_pulses():
