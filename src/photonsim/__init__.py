@@ -24,11 +24,9 @@ from .errors import (
     ZeroNorm,
 )
 from .kernels import (
-    LinearResponse,
     SinglePhotonOutput,
     g_kernel,
     single_photon_output,
-    theta,
     theta_arrays,
 )
 from .model import (
@@ -41,7 +39,6 @@ from .model import (
     load_sampled_pulse,
     make_sampled_pulse,
     pulse_amplitude,
-    pulse_norm_sq,
     save_sampled_pulse,
     tabulate_pulse,
 )
@@ -49,7 +46,6 @@ from .observables import (
     HomScanRow,
     ScatteringProbabilities,
     SchmidtReport,
-    conservation_check,
     hom_scan,
     probabilities,
     schmidt_report,
@@ -58,9 +54,7 @@ from .observables import (
 )
 from .oracle import (
     ComparisonReport,
-    PoleSet,
     compare_on_grid,
-    poles_for,
     residue_convolution,
 )
 from .quadrature import (

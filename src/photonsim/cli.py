@@ -14,9 +14,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .amplitudes import Channel, amplitude_grid
-from .errors import NoConvergence, PhotonSimError, ValidationError, WindowTooNarrow
+from .errors import NoConvergence, PhotonSimError, ValidationError
 from .model import (
     FrequencyGrid,
     LorentzianPulse,
@@ -117,6 +119,20 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+# The flags shared by amplitudes, probabilities and schmidt.
+_TWO_PHOTON = {
+    "gamma": 1.0,
+    "gamma_l": None,
+    "gamma_r": None,
+    "omega_o": 0.0,
+    "kappa": 1.5,
+    "omega_c": 0.0,
+    "pulse_csv_l": None,
+    "pulse_csv_r": None,
+    "tol": None,
+    "threads": None,
+}
+
 # Per-command defaults; also the schema used to validate --config files.
 _DEFAULTS = {
     "single": {
@@ -129,33 +145,8 @@ _DEFAULTS = {
         "tol": None,
         "threads": None,
     },
-    "amplitudes": {
-        "channel": "lr",
-        "gamma": 1.0,
-        "gamma_l": None,
-        "gamma_r": None,
-        "omega_o": 0.0,
-        "kappa": 1.5,
-        "omega_c": 0.0,
-        "pulse_csv_l": None,
-        "pulse_csv_r": None,
-        "grid": "-6:6:121",
-        "tol": None,
-        "threads": None,
-    },
-    "probabilities": {
-        "gamma": 1.0,
-        "gamma_l": None,
-        "gamma_r": None,
-        "omega_o": 0.0,
-        "kappa": 1.5,
-        "omega_c": 0.0,
-        "pulse_csv_l": None,
-        "pulse_csv_r": None,
-        "grid": "-40:40:801",
-        "tol": None,
-        "threads": None,
-    },
+    "amplitudes": {**_TWO_PHOTON, "channel": "lr", "grid": "-6:6:121"},
+    "probabilities": {**_TWO_PHOTON, "grid": "-40:40:801"},
     "hom": {
         "kappas": "0.5,1,2,5,10,20",
         "ratio": 2.0,
@@ -165,20 +156,7 @@ _DEFAULTS = {
         "tol": None,
         "threads": None,
     },
-    "schmidt": {
-        "channel": "lr",
-        "gamma": 1.0,
-        "gamma_l": None,
-        "gamma_r": None,
-        "omega_o": 0.0,
-        "kappa": 1.5,
-        "omega_c": 0.0,
-        "pulse_csv_l": None,
-        "pulse_csv_r": None,
-        "grid": "-6:6:121",
-        "tol": None,
-        "threads": None,
-    },
+    "schmidt": {**_TWO_PHOTON, "channel": "lr", "grid": "-6:6:121"},
     "verify": {"quick": False, "tol": None, "threads": None},
 }
 
@@ -475,15 +453,18 @@ def main(argv=None) -> int:
             payload = {k: v for k, v in ns.items() if k in _DEFAULTS[args.command]}
             payload["command"] = args.command
             Path(args.save_config).write_text(_json_dumps(payload), encoding="utf-8")
-        return _COMMANDS[args.command](ns)
+        # An overflow means the parameters exceed double precision: stop at
+        # once, rather than let inf and NaN run through the quadrature.
+        with np.errstate(over="raise"):
+            return _COMMANDS[args.command](ns)
     except NoConvergence as exc:
         node = f" at node {exc.node}" if getattr(exc, "node", None) is not None else ""
         print(f"error: quadrature did not converge{node}: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, WindowTooNarrow, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: the parameters overflow double precision: {exc}", file=sys.stderr)
         return 2
-    except PhotonSimError as exc:
+    except (PhotonSimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,22 +23,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class LinearResponse:
-    """Row (theta1, theta2) of the network's unitary frequency response at
-    one real frequency: theta1 is the same-channel amplitude, theta2 the
-    cross-channel amplitude."""
-
-    theta1: complex
-    theta2: complex
-
-
-def theta(omega: float, params: NetworkParams) -> LinearResponse:
-    """Linear response at frequency ``omega``: theta_arrays at one point."""
-    t1, t2 = theta_arrays(omega, params)
-    return LinearResponse(complex(t1), complex(t2))
-
-
 def theta_arrays(omegas: np.ndarray, params: NetworkParams):
     """Linear response (theta1, theta2) over an array of real frequencies.
 

@@ -16,13 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    NonMonotoneGrid,
-    ParseError,
-    ValidationError,
-    WindowTooNarrow,
-    ZeroNorm,
-)
+from .errors import NonMonotoneGrid, ParseError, ValidationError, ZeroNorm
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -54,10 +48,6 @@ class NetworkParams:
         _require_finite("omega_o", self.omega_o)
         if self.kappa < 0:
             raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
-
-    def alpha(self) -> complex:
-        """Complex decay constant -i*omega_c - kappa of a single qubit."""
-        return complex(-self.kappa, -self.omega_c)
 
 
 @dataclass(frozen=True)
@@ -225,40 +215,6 @@ def pulse_tail_mass(pulse: PulseSpec, lo: float, hi: float) -> float:
     inside_mass = float(np.trapezoid(np.where(outside, 0.0, intensity), pts))
     total = float(np.trapezoid(intensity, pts))
     return max(0.0, total - inside_mass)
-
-
-def pulse_norm_sq(pulse: PulseSpec, window: FrequencyGrid) -> float:
-    """L2 norm squared of the pulse over ``window`` plus the analytic tail.
-
-    For Lorentzian pulses the windowed mass is integrated adaptively and
-    the mass outside the window added back in closed form, so the result
-    is the full-line norm (truncation can only remove mass, never add
-    it).  For sampled pulses the mass is the defining trapezoid norm on
-    the sample grid; if more than 1e-3 of it lies outside the window,
-    WindowTooNarrow is raised since that part is not recoverable from the
-    window alone.
-    """
-    if isinstance(pulse, LorentzianPulse):
-        # Local import: quadrature imports this module.
-        from .quadrature import QuadConfig, integrate_line
-
-        res = integrate_line(
-            lambda nu: np.abs(pulse_amplitude(pulse, nu)) ** 2,
-            window.min,
-            window.max,
-            QuadConfig(rel_tol=1e-10),
-            seeds=[-pulse.omega_o],
-        )
-        return float(res.value.real) + pulse_tail_mass(pulse, window.min, window.max)
-    tail = pulse_tail_mass(pulse, window.min, window.max)
-    if tail > 1e-3:
-        raise WindowTooNarrow(
-            f"sampled pulse has {tail:.3e} of its mass outside the window",
-            tail_bound=tail,
-        )
-    intensity = np.abs(pulse.values) ** 2
-    total = float(np.trapezoid(intensity, pulse.grid.points))
-    return total
 
 
 def _renormalized(grid: FrequencyGrid, values: np.ndarray):

@@ -322,16 +322,6 @@ def probabilities(
     )
 
 
-def conservation_check(
-    inp: TwoPhotonInput,
-    params: NetworkParams,
-    grid: FrequencyGrid,
-    cfg: QuadConfig | None = None,
-) -> float:
-    """|P_LL + P_LR + P_RR - 1|, the numerical normalization witness."""
-    return abs(probabilities(inp, params, grid, cfg).total - 1.0)
-
-
 def hom_scan(
     kappas,
     ratio: float,

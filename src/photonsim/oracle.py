@@ -1,10 +1,10 @@
 """Closed-form convolution for Lorentzian inputs via contour integration.
 
 Up to a constant, the nu-dependent part of the nonlinear convolution is
-1 / ((nu - p_l)(nu - p_r)(nu - q_u)(nu - q_l)), with the simple poles of
-_pole_locations: p_r, q_u above the real axis and p_l, q_l below.  It
-decays like |nu|^-4, so either half-plane closes onto two residues.  With
-f(nu) = 1 / ((nu - p_l)(nu - q_l)) the upper two add up to
+1 / ((nu - p_l)(nu - p_r)(nu - q_u)(nu - q_l)), with p_r, q_u above the
+real axis and p_l, q_l below.  It decays like |nu|^-4, so either
+half-plane closes onto two residues; residue_j evaluates both closures.
+With f(nu) = 1 / ((nu - p_l)(nu - q_l)) the upper two add up to
 (f(p_r) - f(q_u)) / (p_r - q_u), whose numerator carries the factor
 p_r - q_u; it cancels and leaves one rational in s = omega1 + omega2,
 
@@ -13,7 +13,8 @@ p_r - q_u; it cancels and leaves one rational in s = omega1 + omega2,
     c_R = p_r - q_l and c_L = q_u - p_l, both independent of s,
 
 which is regular where p_r meets q_u (gamma_R = 4 kappa, the degenerate
-manifold).  The lower closure keeps the raw residue sum as a cross-check.
+manifold).  The lower closure keeps the raw residue sum at the poles of
+_pole_locations as a cross-check; its two poles stay simple there.
 This module evaluates that closed form independently of the adaptive
 quadrature path.  compare_on_grid checks convolve_g against it on a grid,
 each path in one batched call; kernels.cmul keeps a batch rounding like
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,30 +33,6 @@ from .errors import ValidationError
 from .kernels import cmul
 from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
 from .quadrature import QuadConfig, convolve_g
-
-# poles_for reports two raw pole locations closer than this (relative to
-# the largest pole magnitude) as one double pole.
-POLE_MERGE_TOL = 1e-9
-
-
-class PoleOrigin(Enum):
-    XI_L = "left pulse"
-    XI_R = "right pulse"
-    G_NU1 = "kernel nu1 factor"
-    G_NU2 = "kernel nu2 factor"
-
-
-@dataclass(frozen=True)
-class Pole:
-    location: complex
-    order: int
-    origin: PoleOrigin
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    poles: tuple[Pole, ...]
-    degenerate: bool
 
 
 def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o_l, omega_o_r, params: NetworkParams):
@@ -67,37 +43,6 @@ def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o_l, omega_o_r, params: N
     q_u = -params.omega_c + 2j * params.kappa
     q_l = omega_sum + params.omega_c - 2j * params.kappa
     return p_l, p_r, q_u, q_l
-
-
-def poles_for(
-    omega1: float,
-    omega2: float,
-    gamma_l: float,
-    gamma_r: float,
-    omega_o: float,
-    params: NetworkParams,
-) -> PoleSet:
-    """Analytic pole structure of the convolution integrand at one node."""
-    if params.kappa <= 0 or gamma_l <= 0 or gamma_r <= 0:
-        raise ValidationError("poles are only off the real axis for kappa, gamma > 0")
-    p_l, p_r, q_u, q_l = _pole_locations(omega1 + omega2, gamma_l, gamma_r, omega_o, omega_o, params)
-    scale = max(abs(p_l), abs(p_r), abs(q_u), abs(q_l), 1.0)
-    degenerate = abs(p_r - q_u) < POLE_MERGE_TOL * scale
-    if degenerate:
-        merged = 0.5 * (p_r + q_u)
-        poles = (
-            Pole(p_l, 1, PoleOrigin.XI_L),
-            Pole(merged, 2, PoleOrigin.XI_R),
-            Pole(q_l, 1, PoleOrigin.G_NU2),
-        )
-    else:
-        poles = (
-            Pole(p_l, 1, PoleOrigin.XI_L),
-            Pole(p_r, 1, PoleOrigin.XI_R),
-            Pole(q_u, 1, PoleOrigin.G_NU1),
-            Pole(q_l, 1, PoleOrigin.G_NU2),
-        )
-    return PoleSet(poles=poles, degenerate=degenerate)
 
 
 def residue_j(

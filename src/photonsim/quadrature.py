@@ -29,6 +29,7 @@ engine's weight product stays below OpenBLAS's threaded sizes (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,8 @@ class QuadConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and > 0, got {self.rel_tol}, {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -128,19 +129,22 @@ _BLOCK = 256
 # was misplaced.
 _TAIL_SUBDIVISIONS = 50
 
-# Offsets, in units of a feature's pole distance, of the graded break
-# points that graded_seeds adds around each Lorentzian feature.
-_GRADING = 3.0 ** np.arange(6)
-
 
 def graded_seeds(features, distances):
-    """Break points at the features c (..., f) and at c +- d 3^j, j = 0..5,
-    with d (f,) each feature's pole distance: shape (..., 13 f).  They
-    start the panels near the scale that bisection would reach, instead
-    of halving from the window width."""
+    """Break points at the features c (..., f) and at c +- d 3^j, with d
+    (f,) each feature's pole distance and j = 0..J, J = max(5,
+    ceil(log3(max(d) / d))): shape (..., f + 2 sum(J + 1)).  They start
+    the panels near the scale that bisection would reach, instead of
+    halving from the window width.  Every feature is graded out to the
+    widest one's scale: a Lorentzian tail beyond its last break point can
+    slip between the nodes of one wide panel, whose Gauss and Kronrod sums
+    then agree on nearly zero and hide the missing mass."""
     features = np.asarray(features, dtype=float)
-    steps = np.outer(distances, np.concatenate([-_GRADING, _GRADING])).ravel()
-    graded = np.repeat(features, 2 * _GRADING.size, axis=-1) + steps
+    top = max(distances)
+    depth = [max(5, math.ceil(math.log(top / d, 3))) if d > 0 else 5 for d in distances]
+    powers = [3.0 ** np.arange(j + 1) for j in depth]
+    steps = np.concatenate([d * np.concatenate([-p, p]) for d, p in zip(distances, powers)])
+    graded = np.repeat(features, 2 * np.add(depth, 1), axis=-1) + steps
     return np.concatenate([features, graded], axis=-1)
 
 
@@ -209,7 +213,8 @@ def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
     names it in errors.  (seg, a, b) are the initial panels.  A segment
     converges when its summed panel error is at most
     max(abs_tol, rel_tol * max_k |value_k|) and may split budget[j] times
-    (its initial panels count).  Every sweep bisects, in each unconverged
+    (its initial panels count); one with a non-finite error fails at once,
+    as bisection cannot repair it.  Every sweep bisects, in each unconverged
     segment, its worst panel and the panels whose error exceeds
     tol / npanels, worst first and within its remaining budget; decisions
     for one segment never depend on the others.  Only those split
@@ -229,8 +234,9 @@ def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
         total = _segment_sums(seg, val, nseg)
         total_err = np.bincount(seg, err, nseg)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total).max(axis=1))
-        done = (npan > 0) & ((total_err <= tol) | (splits >= budget))
-        failed |= done & (total_err > tol)
+        converged = total_err <= tol
+        done = (npan > 0) & (converged | (splits >= budget) | ~np.isfinite(total_err))
+        failed |= done & ~converged
         values[done] = total[done]
         errors[done] = total_err[done]
         open_ = (npan > 0) & ~done

@@ -18,7 +18,6 @@ from .model import (
 )
 from .observables import (
     WindowTerms,
-    conservation_check,
     hom_scan,
     probabilities,
     single_photon_norm,
@@ -107,7 +106,7 @@ def _check_conservation(quick):
     n = 301 if quick else 401
     grid = FrequencyGrid(-40.0, 40.0, n)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
-    dev = conservation_check(inp, NetworkParams(1.5, 0.0), grid)
+    dev = abs(probabilities(inp, NetworkParams(1.5, 0.0), grid).total - 1.0)
     return dev, 2e-3, f"|P_LL+P_LR+P_RR - 1| on n={n}"
 
 

@@ -4,6 +4,7 @@ codes, config round trips, and output schemas."""
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,25 @@ def test_no_convergence_exit_code(capsys):
                    "--kappa", "1.5", "--tol", "1e-300")
     assert code == 3
     assert "converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    # --tol nan once ran past 60 s without converging; --tol inf exited 0
+    # with every panel accepted on its first pass.
+    start = time.process_time()
+    assert run_cli("probabilities", "--tol", tol) == 2
+    assert time.process_time() - start < 5.0
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [("probabilities", "--kappa"), ("amplitudes", "--kappa"),
+                                  ("schmidt", "--kappa"), ("hom", "--kappas")])
+def test_overflowing_kappa_exits_2(capsys, args):
+    # kappa**2 once raised an OverflowError traceback and exit code 1.
+    assert run_cli(*args, "1e300") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_separate_negative_exponent_value(tmp_path):

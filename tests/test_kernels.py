@@ -10,7 +10,6 @@ from photonsim.errors import WindowTooNarrow
 from photonsim.kernels import (
     g_kernel,
     single_photon_output,
-    theta,
     theta_arrays,
 )
 from photonsim.model import FrequencyGrid, LorentzianPulse, NetworkParams, pulse_amplitude
@@ -19,27 +18,25 @@ from photonsim.quadrature import trapezoid_weights
 
 
 def test_theta_resonance_is_mirror():
-    t = theta(-0.0, NetworkParams(kappa=1.0, omega_c=0.0))
-    assert t.theta1 == 0.0
-    assert t.theta2 == pytest.approx(-1.0)
-    t = theta(-3.0, NetworkParams(kappa=1.0, omega_c=3.0))
-    assert t.theta1 == 0.0
-    assert t.theta2 == pytest.approx(-1.0)
+    t1, t2 = theta_arrays(-0.0, NetworkParams(kappa=1.0, omega_c=0.0))
+    assert t1 == 0.0
+    assert t2 == pytest.approx(-1.0)
+    t1, t2 = theta_arrays(-3.0, NetworkParams(kappa=1.0, omega_c=3.0))
+    assert t1 == 0.0
+    assert t2 == pytest.approx(-1.0)
 
 
 def test_theta_decoupled_limit():
-    t = theta(5.0, NetworkParams(kappa=0.0, omega_c=0.0))
-    assert (t.theta1, t.theta2) == (1.0 + 0.0j, 0.0j)
+    assert theta_arrays(5.0, NetworkParams(kappa=0.0, omega_c=0.0)) == (1.0 + 0.0j, 0.0j)
     # The 0/0 corner at resonance resolves through the same branch.
-    t = theta(0.0, NetworkParams(kappa=0.0, omega_c=0.0))
-    assert (t.theta1, t.theta2) == (1.0 + 0.0j, 0.0j)
+    assert theta_arrays(0.0, NetworkParams(kappa=0.0, omega_c=0.0)) == (1.0 + 0.0j, 0.0j)
 
 
 def test_theta_hand_value():
-    t = theta(2.0, NetworkParams(kappa=1.0, omega_c=0.0))
-    assert t.theta1 == pytest.approx(0.5 + 0.5j, abs=1e-15)
-    assert t.theta2 == pytest.approx(-0.5 + 0.5j, abs=1e-15)
-    assert abs(t.theta1) ** 2 + abs(t.theta2) ** 2 == pytest.approx(1.0, abs=1e-12)
+    t1, t2 = theta_arrays(2.0, NetworkParams(kappa=1.0, omega_c=0.0))
+    assert t1 == pytest.approx(0.5 + 0.5j, abs=1e-15)
+    assert t2 == pytest.approx(-0.5 + 0.5j, abs=1e-15)
+    assert abs(t1) ** 2 + abs(t2) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_theta_unitarity_random():
@@ -47,9 +44,9 @@ def test_theta_unitarity_random():
     for _ in range(2000):
         omega = rng.uniform(-100, 100)
         params = NetworkParams(rng.uniform(1e-6, 50), rng.uniform(-20, 20))
-        t = theta(omega, params)
-        assert abs(abs(t.theta1) ** 2 + abs(t.theta2) ** 2 - 1) < 1e-12
-        cross = t.theta1 * np.conj(t.theta2) + t.theta2 * np.conj(t.theta1)
+        t1, t2 = theta_arrays(omega, params)
+        assert abs(abs(t1) ** 2 + abs(t2) ** 2 - 1) < 1e-12
+        cross = t1 * np.conj(t2) + t2 * np.conj(t1)
         assert abs(cross) < 1e-12
 
 

@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from photonsim.errors import (
-    NonMonotoneGrid,
-    ParseError,
-    ValidationError,
-    WindowTooNarrow,
-    ZeroNorm,
-)
+from photonsim.errors import NonMonotoneGrid, ParseError, ValidationError, ZeroNorm
 from photonsim.model import (
     FrequencyGrid,
     LorentzianPulse,
@@ -21,17 +15,12 @@ from photonsim.model import (
     load_sampled_pulse,
     make_sampled_pulse,
     pulse_amplitude,
-    pulse_norm_sq,
     save_sampled_pulse,
     tabulate_pulse,
 )
+from photonsim.observables import single_photon_norm
 
 SQRT_2PI = math.sqrt(2 * math.pi)
-
-
-def test_network_params_alpha():
-    p = NetworkParams(kappa=1.5, omega_c=-0.7)
-    assert p.alpha() == complex(-1.5, 0.7)
 
 
 def test_network_params_validation():
@@ -97,12 +86,15 @@ def test_lorentzian_intensity_formula():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+# A pass-through network (kappa = 0) keeps the pulse, so its output norm
+# is the input's: the whole-line integral of |amplitude|^2 for Lorentzian
+# pulses and the defining trapezoid norm for sampled ones.
+PASS_THROUGH = NetworkParams(0.0)
+
+
 def test_pulse_norm_sq_lorentzian():
-    # The analytic tail is added back, so the result is the full-line norm.
-    window = FrequencyGrid(-200.0, 200.0, 20001)
-    assert pulse_norm_sq(LorentzianPulse(1.0), window) == pytest.approx(1.0, abs=1e-4)
-    window4 = FrequencyGrid(-400.0, 400.0, 20001)
-    assert pulse_norm_sq(LorentzianPulse(4.0), window4) == pytest.approx(1.0, abs=1e-4)
+    assert single_photon_norm(LorentzianPulse(1.0), PASS_THROUGH) == pytest.approx(1.0, abs=1e-4)
+    assert single_photon_norm(LorentzianPulse(4.0), PASS_THROUGH) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_pulse_norm_sq_window_bounds():
@@ -110,9 +102,7 @@ def test_pulse_norm_sq_window_bounds():
     for _ in range(20):
         gamma = rng.uniform(0.2, 3.0)
         omega_o = rng.uniform(-2.0, 2.0)
-        half = 100.0 * gamma * rng.uniform(1.0, 3.0)
-        window = FrequencyGrid(-omega_o - half, -omega_o + half, 4001)
-        norm = pulse_norm_sq(LorentzianPulse(gamma, omega_o), window)
+        norm = single_photon_norm(LorentzianPulse(gamma, omega_o), PASS_THROUGH)
         assert 0.99 <= norm <= 1.0 + 1e-9
 
 
@@ -128,7 +118,7 @@ def test_sampled_pulse_fresh_load_norm(tmp_path):
     path = tmp_path / "pulse.csv"
     path.write_text("nu,re,im\n0,1,0\n1,0,0\n2,0,0\n")
     pulse = load_sampled_pulse(path)
-    assert pulse_norm_sq(pulse, pulse.grid) == pytest.approx(1.0, abs=1e-6)
+    assert single_photon_norm(pulse, PASS_THROUGH) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_load_rejects_non_monotone(tmp_path):
@@ -203,13 +193,6 @@ def test_sampled_interpolation_and_zero_extension():
     assert pulse_amplitude(pulse, 0.5) == pytest.approx(1.0)
     assert pulse_amplitude(pulse, -0.1) == 0.0
     assert pulse_amplitude(pulse, 2.1) == 0.0
-
-
-def test_sampled_norm_window_too_narrow():
-    grid = FrequencyGrid(-5.0, 5.0, 101)
-    pulse = tabulate_pulse(LorentzianPulse(1.0), grid)
-    with pytest.raises(WindowTooNarrow):
-        pulse_norm_sq(pulse, FrequencyGrid(-1.0, 1.0, 11))
 
 
 def test_two_photon_input_identical_flag():

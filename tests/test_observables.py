@@ -20,7 +20,6 @@ from photonsim.model import (
     tabulate_pulse,
 )
 from photonsim.observables import (
-    conservation_check,
     hom_scan,
     probabilities,
     schmidt_report,
@@ -40,7 +39,7 @@ def test_pass_through_probabilities_exact():
     p = probabilities(IDENTICAL, NetworkParams(0.0), GRID)
     assert (p.p_ll, p.p_lr, p.p_rr) == (0.0, 1.0, 0.0)
     assert p.total == 1.0
-    assert conservation_check(IDENTICAL, NetworkParams(0.0), GRID) == 0.0
+    assert abs(p.total - 1.0) == 0.0
 
 
 def test_strong_coupling_probabilities():
@@ -51,7 +50,7 @@ def test_strong_coupling_probabilities():
 
 def test_conservation_at_reference_parameters():
     for wc in (0.0, 3.0):
-        dev = conservation_check(IDENTICAL, NetworkParams(1.5, wc), GRID)
+        dev = abs(probabilities(IDENTICAL, NetworkParams(1.5, wc), GRID).total - 1.0)
         assert dev <= 2e-3
 
 
@@ -361,6 +360,18 @@ def test_single_photon_integrals_converge_from_graded_seeds(monkeypatch, kappa, 
     assert single_photon_norm(pulse, params) == pytest.approx(1.0, abs=1e-13)
     single_photon_probabilities(pulse, params, FrequencyGrid(-40.0, 40.0, 801))
     assert sweeps and max(sweeps) <= 2, sweeps
+
+
+@pytest.mark.parametrize("kappa", [3e10, 1e20])
+def test_large_kappa_keeps_the_pulse_tails(kappa):
+    # The pulses' graded seeds once stopped at 121.5 gamma, far inside the
+    # kernel's first break point at 2 kappa: the panel between them missed
+    # 2.6e-3 of each photon's mass while its error estimate read 2.7e-8.
+    params = NetworkParams(kappa, 0.0)
+    p = probabilities(IDENTICAL, params, GRID)
+    assert abs(p.total - 1.0) <= 1e-12
+    assert abs(p.total - 1.0) <= p.est_error
+    assert single_photon_norm(PULSE, params) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probabilities_reports_error_estimate():

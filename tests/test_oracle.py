@@ -6,42 +6,16 @@ import pytest
 from photonsim.errors import ValidationError
 from photonsim.model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
 from photonsim.oracle import (
-    PoleOrigin,
     compare_on_grid,
-    poles_for,
     residue_convolution,
     residue_j,
 )
 from photonsim.quadrature import convolve_g
 
 
-def test_pole_classification():
-    params = NetworkParams(1.0, 0.5)
-    ps = poles_for(0.3, -0.2, 1.0, 2.0, 0.1, params)
-    assert not ps.degenerate
-    assert len(ps.poles) == 4
-    by_origin = {p.origin: p for p in ps.poles}
-    assert by_origin[PoleOrigin.XI_L].location.imag < 0
-    assert by_origin[PoleOrigin.XI_R].location.imag > 0
-    assert by_origin[PoleOrigin.G_NU1].location == complex(-0.5, 2.0)
-    assert by_origin[PoleOrigin.G_NU2].location.imag < 0
-    assert all(p.order == 1 for p in ps.poles)
-
-
-def test_pole_degenerate_detection():
-    # Upper pulse pole meets the upper kernel pole when gamma_r = 4 kappa
-    # and the frequency sum sits on the matching resonance.
-    kappa, wc, wo = 0.5, 0.8, -0.2
-    params = NetworkParams(kappa, wc, wo)
-    ps = poles_for(-wc - wo, 0.0, 1.0, 4 * kappa, wo, params)
-    assert ps.degenerate
-    orders = sorted(p.order for p in ps.poles)
-    assert orders == [1, 1, 2]
-
-
 def test_poles_require_positive_rates():
     with pytest.raises(ValidationError):
-        poles_for(0.0, 0.0, 1.0, 1.0, 0.0, NetworkParams(0.0))
+        residue_convolution(0.0, 0.1, 1.0, 1.0, 0.0, NetworkParams(0.0))
     with pytest.raises(ValidationError):
         residue_convolution(0.0, 0.1, -1.0, 1.0, 0.0, NetworkParams(1.0))
 

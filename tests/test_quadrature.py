@@ -68,6 +68,14 @@ def test_no_convergence_carries_partial():
     assert partial.abs_error_estimate > 0
 
 
+def test_non_finite_error_fails_at_once():
+    # A NaN error estimate once let a segment bisect through its whole
+    # budget and then return NaN as converged.
+    with pytest.raises(NoConvergence) as exc_info:
+        integrate_lines(lambda x, _line: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+    assert exc_info.value.partial.evaluations == 15
+
+
 def test_integrate_line_is_one_line_of_integrate_lines():
     # The one-line form returns the batched engine's own numbers, bit for
     # bit: value, error estimate and evaluation count.
@@ -169,6 +177,18 @@ def test_graded_seeds():
     offsets = 3.0 ** np.arange(6)
     want = np.concatenate([-0.5 * offsets, 0.5 * offsets, 10.0 - 2.0 * offsets, 10.0 + 2.0 * offsets])
     np.testing.assert_array_equal(seeds[0, 2:], want)
+
+
+def test_graded_seeds_reach_the_widest_feature():
+    # A narrow feature is graded out to the widest one's scale: 1e4 / 1
+    # needs J = ceil(log3(1e4)) = 9; the widest keeps J = 5, and a zero
+    # distance (kappa = 0) too.
+    seeds = graded_seeds([0.0, 5.0, 7.0], [1.0, 1e4, 0.0])
+    assert seeds.shape == (3 + 2 * 10 + 2 * 6 + 2 * 6,)
+    offsets = 3.0 ** np.arange(10)
+    np.testing.assert_array_equal(seeds[3:23], np.concatenate([-offsets, offsets]))
+    np.testing.assert_array_equal(seeds[23:35], 5.0 + 1e4 * np.concatenate([-offsets[:6], offsets[:6]]))
+    np.testing.assert_array_equal(seeds[35:], 7.0)
 
 
 def test_grid_2d_constant():
@@ -346,3 +366,10 @@ def test_quad_config_validation():
         QuadConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
+    # A NaN tolerance never lets a segment converge; an infinite one accepts
+    # every panel on its first pass.
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(rel_tol=tol)
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(abs_tol=tol)
