@@ -154,9 +154,12 @@ def pulse_amplitude(pulse: PulseSpec, nu):
     """
     if isinstance(pulse, LorentzianPulse):
         nu = np.asarray(nu, dtype=float)
-        out = (math.sqrt(pulse.gamma) / _SQRT_2PI) / (
-            1j * (nu + pulse.omega_o) - pulse.gamma / 2.0
-        )
+        # i (nu + omega_o) - gamma / 2 set part by part: the values of the
+        # complex arithmetic for finite nu, in fewer passes over the array.
+        den = np.empty(nu.shape, dtype=complex)
+        den.real = -0.5 * pulse.gamma
+        den.imag = nu + pulse.omega_o
+        out = (math.sqrt(pulse.gamma) / _SQRT_2PI) / den
     elif isinstance(pulse, SampledPulse):
         nu = np.asarray(nu, dtype=float)
         pts = pulse.grid.points

@@ -13,7 +13,10 @@ P(s) = integral |u(nu) u(s - nu)|^2 dnu = pi / (kappa (s'^2 + 16 kappa^2)).
 Lorentzian probabilities take this form without a grid: one engine line
 with mapped tails gives the 16 Gram entries of single_factors, and one
 outer line over s does the rest, each of its sweeps integrating J and the
-three A at its nodes as one inner batch (quadrature.convolution_lines).
+three A at its nodes as one inner batch (quadrature.convolution_lines,
+which folds each line at nu = s / 2, so the inner integrands are summed
+with their images under nu <-> s - nu, all four from the pulse products
+and u u at each node).
 J stays on the engine, so --tol and NoConvergence hold, and the residue
 oracle stays independent.  est_error bounds the outer error plus how far
 the inner and Gram errors move the masses.
@@ -61,7 +64,8 @@ from .oracle import residue_j  # noqa: F401
 # integrate_half_line_multi is called through this module's name, where
 # perfbench/tracing.py patches it.
 from .quadrature import (
-    QuadConfig, convolution_lines, graded_seeds, integrate_half_line_multi, integrate_lines, trapezoid_weights,
+    QuadConfig, convolution_lines, graded_seeds, integrate_half_line_multi, integrate_lines, pulse_products,
+    trapezoid_weights,
 )
 
 
@@ -164,12 +168,22 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
         sums = s.ravel()
 
         def inner(nu, mu, _line):
-            f1, f2 = single_factors(nu, inp, params), single_factors(mu, inp, params)
+            # J's reduced integrand and the three conj(L_c) u u, each plus its
+            # image under nu <-> mu (convolution_lines folds at nu = s / 2).
+            # With theta1 = (nu + omega_c) u and theta2 = 2i kappa u, all four
+            # come from p1 = xi_L(nu) xi_R(mu), p2 = xi_R(nu) xi_L(mu) and u u.
+            a, b = nu + wc, mu + wc
             uu = 1.0 / ((nu + den) * (mu + den))
-            a = [np.conj(f1[x] * f2[y] + f1[x2] * f2[y2]) * uu for (x, y), (x2, y2) in CHANNEL_PAIRS]
-            # b = theta2 * pulse = 2i kappa u * pulse, so J's reduced integrand
-            # pulse_l(nu) pulse_r(mu) u(nu) u(mu) is b_l(nu) b_r(mu) / (2i kappa)^2.
-            return np.stack([f1[1] * f2[3] * (-0.25 / k**2), *a], axis=-1)
+            q = uu.real**2 + uu.imag**2
+            p1, p2 = pulse_products(inp, nu, mu)
+            both = p1 + p2
+            out = np.empty(nu.shape + (4,), dtype=complex)
+            out[..., 0] = uu * both
+            out[..., 2] = (a * b - 4.0 * k**2) * q * np.conj(both)
+            q *= -4.0 * k
+            out[..., 1] = 1j * q * np.conj(a * p1 + b * p2)
+            out[..., 3] = 1j * q * np.conj(b * p1 + a * p2)
+            return out
 
         v, e, _ = convolution_lines(inner, sums, inp, params, cfg)
         sp = sums + 2.0 * wc

@@ -10,15 +10,19 @@ panels, and each unconverged integral then bisects every panel whose
 error exceeds its fair share of the tolerance.
 
 ``convolution_lines`` is the one entry for integrals over nu at a set of
-frequency sums, with windows, seeds and tails from
-``convolution_windows``.  It runs the convolution ladder (``j_lines``:
-one reduced convolution per distinct frequency sum), the inner batch of
-the whole-plane probabilities, and ``convolve_g``, whose full two-photon
-kernel lets the residue oracle test this engine through a second
-formula.  ``graded_seeds`` is the one seeding rule around features of
-known pole distance: break points graded geometrically toward it, so
-bisection starts near the scale it must reach.  ``integrate_grid_2d`` is
-the tensor trapezoid rule on the shared grid.
+frequency sums s, with windows, seeds and tails from
+``convolution_windows``.  It folds each line at nu = s / 2: its callers
+supply the integrand symmetrised under nu <-> s - nu, and it integrates
+nu >= s / 2 with the seeds mirrored there, where mirror-image features
+fall together, plus one mapped tail.  It runs the convolution ladder
+(``j_lines``: one reduced convolution per distinct frequency sum), the
+inner batch of the whole-plane probabilities, and ``convolve_g``, whose
+full two-photon kernel lets the residue oracle test this engine through
+a second formula.  ``graded_seeds`` is the one seeding rule around
+features of known pole distance: break points graded geometrically
+toward it, so bisection starts near the scale it must reach; break
+points that agree up to rounding are merged into one.
+``integrate_grid_2d`` is the tensor trapezoid rule on the shared grid.
 
 Every contraction on the probabilities path stays on one core: after a
 threaded call OpenBLAS's second worker spins for about 0.1 s, which made
@@ -148,15 +152,35 @@ def graded_seeds(features, distances):
     return np.concatenate([features, graded], axis=-1)
 
 
+# Break points closer than this, relative to their magnitude, are one
+# point: seeds that agree up to rounding (mirrored kernel features, kinks
+# of two tabulated pulses) would each cost a sliver panel of 15 evaluations.
+_MERGE_TOL = 16 * np.finfo(float).eps
+
+
 def _initial_panels(lo, hi, seeds):
     """(line, a, b) of the seeded window panels, built without a Python
-    loop: per line, the sorted distinct break points inside (lo, hi)."""
+    loop: per line, the sorted distinct break points inside (lo, hi); a
+    seed within _MERGE_TOL of the point below it, or of hi above it, is
+    dropped."""
     m = lo.size
-    cols = [lo[:, None], hi[:, None]]
+    pts = [lo[:, None], hi[:, None]]
     if seeds is not None:
         inner = np.asarray(seeds, dtype=float)
-        cols.append(np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner, np.nan))
-    pts = np.sort(np.concatenate(cols, axis=1), axis=1)  # NaN sorts last
+        pts.append(np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner, np.nan))
+    pts = np.concatenate(pts, axis=1)
+    pts.sort(axis=1)  # NaN sorts last; in place, as these arrays set a fill's peak memory
+    near = np.abs(pts[:, 1:])
+    near *= _MERGE_TOL
+    near = np.diff(pts, axis=1) <= near
+    at_hi = pts[:, 1:] == hi[:, None]
+    drop = near & ~at_hi
+    drop[:, :-1] |= (near & at_hi)[:, 1:]
+    if drop.any():
+        # A dropped point takes the value of the last point kept below it,
+        # so the panel ending there repeats a point and goes below.
+        pts[:, 1:][drop] = -np.inf
+        np.maximum.accumulate(pts, axis=1, out=pts)
     a, b = pts[:, :-1], pts[:, 1:]
     keep = (b > a) & (hi > lo)[:, None]  # drops NaN, repeated seeds and empty windows
     line = np.broadcast_to(np.arange(m)[:, None], a.shape)[keep]
@@ -319,23 +343,27 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
     and ``.partial`` its QuadResult (whose value holds the k components
     of a vector-valued integrand).
     """
+    return _window_lines(f, lo, hi, cfg, seeds, (-1.0, 1.0) if tails else ())
+
+
+def _window_lines(f, lo, hi, cfg, seeds, sides):
+    """integrate_lines with a mapped tail beyond lo for -1 in ``sides`` and
+    beyond hi for +1: windows first, then the tails in the order given."""
     cfg = cfg or QuadConfig()
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    m = lo.size
+    m, t = lo.size, len(sides)
     seg, a, b = _initial_panels(lo, hi, seeds)
-    if not tails:
-        zero = np.zeros(m)
-        return _refine(f, m, seg, a, b, zero, zero, np.full(m, cfg.max_subdivisions), cfg, ("window",))
-    # Windows first, then the left and right tails.
-    edge = np.concatenate([np.zeros(m), lo, hi])
-    step = np.concatenate([np.zeros(m), -np.maximum(np.abs(lo), 10.0), np.maximum(np.abs(hi), 10.0)])
+    edges = [lo if d < 0 else hi for d in sides]
+    edge = np.concatenate([np.zeros(m), *edges])
+    step = np.concatenate([np.zeros(m), *(d * np.maximum(np.abs(e), 10.0) for d, e in zip(sides, edges))])
     tail_budget = min(cfg.max_subdivisions, _TAIL_SUBDIVISIONS)
-    budget = np.repeat([cfg.max_subdivisions, tail_budget, tail_budget], m)
-    seg = np.concatenate([seg, np.arange(m, 3 * m)])
-    a = np.concatenate([a, np.zeros(2 * m)])
-    b = np.concatenate([b, np.ones(2 * m)])
-    return _refine(f, m, seg, a, b, edge, step, budget, cfg, ("window", "left tail", "right tail"))
+    budget = np.repeat([cfg.max_subdivisions] + [tail_budget] * t, m)
+    seg = np.concatenate([seg, np.arange(m, (t + 1) * m)])
+    a = np.concatenate([a, np.zeros(t * m)])
+    b = np.concatenate([b, np.ones(t * m)])
+    labels = ("window", *("left tail" if d < 0 else "right tail" for d in sides))
+    return _refine(f, m, seg, a, b, edge, step, budget, cfg, labels)
 
 
 def integrate_line(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=()) -> QuadResult:
@@ -446,10 +474,18 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams):
 
 def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig):
     """Integrate over nu at every frequency sum s in ``omega_sums`` (m,) as
-    one integrate_lines batch: ``integrand(nu, mu, line)`` gets mu = s - nu
-    and the line index, shaped as integrate_lines' x and line, and may be
-    vector-valued.  Windows and seeds come from convolution_windows, with
-    mapped tails unless a pulse has compact support: the convolution
+    one integrate_lines batch, folded at nu = s / 2.
+
+    The integral of f(nu, s - nu) over the real line equals that of the
+    symmetrised f(nu, s - nu) + f(s - nu, nu) over nu >= s / 2, and
+    ``integrand(nu, mu, line)`` must return that symmetrised integrand at
+    mu = s - nu, shaped as integrate_lines' x and line; it may be
+    vector-valued.  Each line's window is convolution_windows' window and
+    its mirror image through s / 2, above s / 2: [s / 2, max(hi, s - lo)],
+    empty where the window is; the seeds are mirrored onto nu >= s / 2,
+    where mirror-image features such as -omega_c and s + omega_c, or the
+    centres of identical pulses, fall together.  A mapped tail beyond the
+    window follows unless a pulse has compact support: the convolution
     integrands decay like 1/nu^4, so a bare window would leave an O(W^-3)
     truncation error.  Returns what integrate_lines returns, or exact
     zeros for kappa = 0, where the convolution term vanishes.
@@ -460,10 +496,13 @@ def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: Networ
     if params.kappa == 0.0:
         return np.zeros(sums.size, dtype=complex), np.zeros(sums.size), np.zeros(sums.size, dtype=int)
     lo, hi, seeds = convolution_windows(sums, inp, params)
+    half = 0.5 * sums
+    hi = np.where(hi > lo, np.maximum(hi, sums - lo), half)
+    seeds = half[:, None] + np.abs(seeds - half[:, None])
     compact = pulse_support(inp.left) is not None or pulse_support(inp.right) is not None
     try:
-        return integrate_lines(
-            lambda nu, line: integrand(nu, sums[line] - nu, line), lo, hi, cfg, seeds=seeds, tails=not compact
+        return _window_lines(
+            lambda nu, line: integrand(nu, sums[line] - nu, line), half, hi, cfg, seeds, () if compact else (1.0,)
         )
     except NoConvergence as exc:
         raise NoConvergence(
@@ -472,6 +511,17 @@ def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: Networ
             partial=exc.partial,
             node=exc.node,
         ) from exc
+
+
+def pulse_products(inp: TwoPhotonInput, nu, mu):
+    """(p1, p2) = (amplitude_L(nu) amplitude_R(mu), amplitude_R(nu)
+    amplitude_L(mu)): p1 + p2 is the pulse product symmetrised under
+    nu <-> mu, as convolution_lines needs it.  Identical pulses give p2 =
+    p1, bit for bit what the general form computes."""
+    p1 = pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
+    if inp.identical:
+        return p1, p1
+    return p1, pulse_amplitude(inp.right, nu) * pulse_amplitude(inp.left, mu)
 
 
 def convolve_g(omega1, omega2, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> QuadResult:
@@ -489,11 +539,12 @@ def convolve_g(omega1, omega2, inp: TwoPhotonInput, params: NetworkParams, cfg: 
     """
     w1, w2 = np.broadcast_arrays(np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float))
     shape, w1, w2 = w1.shape, w1.ravel(), w2.ravel()
-    values, errors, evals = convolution_lines(
-        lambda nu, mu, line: pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
-        * kernels.g_kernel(w1[line], w2[line], nu, mu, params),
-        w1 + w2, inp, params, cfg or QuadConfig(),
-    )
+
+    def integrand(nu, mu, line):
+        p1, p2 = pulse_products(inp, nu, mu)
+        return (p1 + p2) * kernels.g_kernel(w1[line], w2[line], nu, mu, params)
+
+    values, errors, evals = convolution_lines(integrand, w1 + w2, inp, params, cfg or QuadConfig())
     if not shape:
         return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
     return QuadResult(values.reshape(shape), errors.reshape(shape), evals.reshape(shape))
@@ -516,10 +567,8 @@ def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadCon
     two_ik = 2j * params.kappa
 
     def integrand(nu, mu, _line):
-        return (
-            pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
-            / ((nu + wc - two_ik) * (mu + wc - two_ik))
-        )
+        p1, p2 = pulse_products(inp, nu, mu)
+        return (p1 + p2) / ((nu + wc - two_ik) * (mu + wc - two_ik))
 
     return convolution_lines(integrand, omega_sums, inp, params, cfg or QuadConfig())
 

@@ -22,6 +22,7 @@ from photonsim.oracle import residue_j
 from photonsim.quadrature import (
     QuadConfig,
     convolution_windows,
+    convolve_g,
     integrate_line,
     integrate_lines,
     j_line,
@@ -69,6 +70,17 @@ def test_ladder_and_tail_oracle_with_different_centres():
         for close in ("upper", "lower"):
             want = residue_j(sums, gamma_l, gamma_r, wo_l, params, close, omega_o_r=wo_r)
             assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-9
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 100.0])
+def test_folded_ladder_matches_residue_with_distinct_pulses(kappa):
+    # Distinct widths and centres: no mirrored pulse feature falls on
+    # another, so every fold of the ladder keeps all its seeds.
+    inp = TwoPhotonInput(LorentzianPulse(0.7, -0.6), LorentzianPulse(1.6, 1.1))
+    params = NetworkParams(kappa, 0.9)
+    values, _, _ = j_lines(DEFAULT_SUMS, inp, params)
+    want = residue_j(DEFAULT_SUMS, 0.7, 1.6, -0.6, params, omega_o_r=1.1)
+    assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-9
 
 
 def test_graded_seeds_cut_ladder_evaluations():
@@ -140,6 +152,40 @@ def test_ladder_matches_scalar_integrator_on_tabulated_pulses():
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
 
+def _supported_on(lo, hi):
+    pg = FrequencyGrid(lo, hi, 41)
+    return make_sampled_pulse(pg, np.exp(-((pg.points - 0.5 * (lo + hi)) ** 2)))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_folded_ladder_with_supports_on_one_side(side):
+    # At s = 1 and 3 the product of supports lies wholly below s / 2 (low
+    # pulse on the left) or wholly above it (swapped): the fold integrates
+    # its mirror image.  At s = -10 the product is empty.
+    low, high = _supported_on(-3.0, -1.0), _supported_on(2.0, 6.0)
+    inp = TwoPhotonInput(low, high) if side == "below" else TwoPhotonInput(high, low)
+    params = NetworkParams(1.2, 0.7)
+    wc, two_ik = params.omega_c, 2j * params.kappa
+    sums = np.array([-10.0, 1.0, 3.0])
+    values, errors, evals = j_lines(sums, inp, params)
+    assert values[0] == 0.0 and errors[0] == 0.0 and evals[0] == 0
+    assert convolve_g(-5.0, -5.0, inp, params).value == 0.0
+    for s, got in zip(sums[1:], values[1:]):
+        lo, hi, seeds = convolution_windows(s, inp, params)
+        assert (hi[0] <= 0.5 * s) if side == "below" else (lo[0] >= 0.5 * s)
+
+        def integrand(nu, s=s):
+            return (
+                pulse_amplitude(inp.left, nu)
+                * pulse_amplitude(inp.right, s - nu)
+                / ((nu + wc - two_ik) * (s - nu + wc - two_ik))
+            )
+
+        want = integrate_line(integrand, float(lo[0]), float(hi[0]), seeds=seeds[0]).value
+        assert abs(want) > 0.0
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_integrate_lines_tails_and_empty_windows():
     # 1/(1 + (x - c)^2) over the whole line from a window plus mapped tails.
     centres = np.array([0.0, 40.0])
@@ -157,12 +203,12 @@ def test_integrate_lines_tails_and_empty_windows():
 
 def test_no_convergence_names_lowest_failing_rung():
     # Budget-limited tolerance: rungs 1, 2, 10 and 11 fail when run alone
-    # (each needs 39 or 40 subdivisions, 36 of them its seeds), every
-    # other rung converges within 38.
+    # (each folded line needs 20 subdivisions, 18 of them its seeds), every
+    # other rung converges within 19.
     grid = FrequencyGrid(-6.0, 6.0, 7)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
     params = NetworkParams(1.5, 0.0)
-    cfg = QuadConfig(rel_tol=1e-11, max_subdivisions=38)
+    cfg = QuadConfig(rel_tol=1e-11, max_subdivisions=19)
     alone = []
     for idx, s in enumerate(ladder_sums(grid)):
         try:

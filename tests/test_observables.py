@@ -27,7 +27,7 @@ from photonsim.observables import (
     single_photon_probabilities,
     window_terms,
 )
-from photonsim.quadrature import QuadConfig, trapezoid_weights
+from photonsim.quadrature import QuadConfig, convolution_lines, trapezoid_weights
 from photonsim.verify import grid_window_reference
 
 PULSE = LorentzianPulse(1.0, 0.0)
@@ -135,6 +135,47 @@ def test_lorentzian_probabilities_within_grid_path_error(inp, params, grid, incl
     assert 0.0 < p.est_error <= 1e-7
 
 
+# (p_ll, p_lr, p_rr) of _DISTINCT from unfolded convolution lines (each
+# inner line over the whole real line) at the default tolerance.
+@pytest.mark.parametrize(
+    "params, unfolded",
+    [
+        (NetworkParams(1.43, -0.63), (0.19387883890435034, 0.5739231063548054, 0.23219805474084496)),
+        (NetworkParams(0.05, 0.4), (0.05281302860426397, 0.7706276003152087, 0.17655937108052824)),
+        (NetworkParams(30.0, -12.0), (0.0716476375255576, 0.8549848722479619, 0.07336749022648127)),
+    ],
+    ids=["kappa-1.43", "kappa-0.05", "kappa-30"],
+)
+def test_folded_lines_keep_distinct_centre_probabilities(params, unfolded):
+    p = probabilities(_DISTINCT, params, GRID)
+    assert np.all(np.abs(np.subtract((p.p_ll, p.p_lr, p.p_rr), unfolded)) <= p.est_error)
+    assert abs(p.total - 1.0) <= 1e-12
+
+
+# Inner evaluations of the whole-plane probabilities with convolution lines
+# over the whole real line (before the fold at nu = s / 2).
+@pytest.mark.parametrize(
+    "inp, params, unfolded_evals",
+    [
+        (IDENTICAL, NetworkParams(1.5, 0.0), 402_720),
+        (TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8)), NetworkParams(0.7, -1.3), 660_705),
+    ],
+    ids=["identical", "distinct-widths"],
+)
+def test_folded_lines_cut_inner_evaluations(monkeypatch, inp, params, unfolded_evals):
+    # Evaluation counts are deterministic, so unlike a timing this cannot flake.
+    evals = []
+
+    def counted(*args):
+        out = convolution_lines(*args)
+        evals.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(photonsim.observables, "convolution_lines", counted)
+    probabilities(inp, params, GRID)
+    assert evals and sum(evals) <= 0.6 * unfolded_evals
+
+
 # Exact P_LR for identical gamma = 1 pulses, confirmed independently of
 # this code; Richardson extrapolation of the grid path meets them to 1.3e-10.
 @pytest.mark.parametrize(
@@ -154,11 +195,12 @@ def test_p_lr_matches_exact_values(kappa, omega_c, exact, tol):
 
 
 def test_probabilities_no_convergence_names_the_frequency_sum():
-    # A budget the inner convolution lines exhaust: the error names the
-    # frequency sum of the outer node, as the ladder names its rung.
-    cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=41)
+    # A budget the inner convolution lines exhaust while the Gram line
+    # converges (budgets 39 to 45 do): the error names the frequency sum of
+    # the outer node, as the ladder names its rung.
+    cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-16, max_subdivisions=41)
     with pytest.raises(NoConvergence, match="convolution did not converge at frequency sum") as exc_info:
-        probabilities(IDENTICAL, NetworkParams(1.5, 0.0), GRID, cfg)
+        probabilities(IDENTICAL, NetworkParams(1e-2, 0.0), GRID, cfg)
     assert exc_info.value.node is not None
 
 

@@ -191,6 +191,19 @@ def test_graded_seeds_reach_the_widest_feature():
     np.testing.assert_array_equal(seeds[35:], 7.0)
 
 
+def test_break_points_that_agree_to_rounding_are_merged():
+    # Seeds a few ulps apart (mirrored features, kinks of two tabulated
+    # pulses) are one break point: 3 panels of 15 evaluations, not 5 with
+    # two slivers.  lo is kept, and so is hi against a seed just below it.
+    seeds = [[np.nextafter(1.0, 2.0), 2.0, np.nextafter(2.0, 3.0) + 4e-16, 3.0, np.nextafter(4.0, 0.0)]]
+    values, _, evals = integrate_lines(lambda x, _line: np.ones_like(x), 1.0, 4.0, seeds=seeds)
+    assert evals[0] == 45
+    assert values[0] == pytest.approx(3.0, abs=1e-14)
+    # Seeds further apart than the merge tolerance stay.
+    _, _, evals = integrate_lines(lambda x, _line: np.ones_like(x), 1.0, 4.0, seeds=[[2.0, 2.0 + 1e-12]])
+    assert evals[0] == 45
+
+
 def test_grid_2d_constant():
     grid = FrequencyGrid(0.0, 1.0, 3)
     assert integrate_grid_2d(np.ones((3, 3)), grid, grid) == pytest.approx(1.0, abs=1e-14)
