@@ -3,16 +3,19 @@
 Subcommands: single | amplitudes | probabilities | hom | schmidt | verify.
 Outputs are deterministic: identical flags produce byte-identical files
 (no timestamps, fixed float formatting with 17 significant digits).
-Exit codes: 0 success, 2 validation error, 3 quadrature non-convergence
-(verify exits 1 when a check fails).
+Exit codes: 0 success, 2 validation error (also a --config file that is
+not a JSON object or holds a value its flag could not take), 3 quadrature
+non-convergence (verify exits 1 when a check fails).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,102 +88,8 @@ def _pulse_pair(ns) -> TwoPhotonInput:
     return TwoPhotonInput(pulse, pulse)
 
 
-def _single_pulse(ns):
-    if ns.get("pulse_csv"):
-        return load_sampled_pulse(ns["pulse_csv"])
-    return LorentzianPulse(ns["gamma"], ns["omega_o"])
-
-
-def _params(ns) -> NetworkParams:
-    return NetworkParams(kappa=ns["kappa"], omega_c=ns["omega_c"], omega_o=ns["omega_o"])
-
-
-def _quad_config(ns) -> QuadConfig:
-    if ns.get("tol") is not None:
-        tol = float(ns["tol"])
-        return QuadConfig(rel_tol=tol, abs_tol=min(1e-12, tol))
-    return QuadConfig()
-
-
-def _metadata_lines(ns, extra=None) -> list[str]:
-    keys = sorted(k for k in ns if k not in ("output", "save_config", "config", "format"))
-    lines = [f"# photonsim {__version__}"]
-    for k in keys:
-        lines.append(f"# {k} = {ns[k]}")
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k} = {v}")
-    return lines
-
-
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-# The flags shared by amplitudes, probabilities and schmidt.
-_TWO_PHOTON = {
-    "gamma": 1.0,
-    "gamma_l": None,
-    "gamma_r": None,
-    "omega_o": 0.0,
-    "kappa": 1.5,
-    "omega_c": 0.0,
-    "pulse_csv_l": None,
-    "pulse_csv_r": None,
-    "tol": None,
-    "threads": None,
-}
-
-# Per-command defaults; also the schema used to validate --config files.
-_DEFAULTS = {
-    "single": {
-        "gamma": 1.0,
-        "omega_o": 0.0,
-        "kappa": 1.0,
-        "omega_c": 0.0,
-        "pulse_csv": None,
-        "grid": None,
-        "tol": None,
-        "threads": None,
-    },
-    "amplitudes": {**_TWO_PHOTON, "channel": "lr", "grid": "-6:6:121"},
-    "probabilities": {**_TWO_PHOTON, "grid": "-40:40:801"},
-    "hom": {
-        "kappas": "0.5,1,2,5,10,20",
-        "ratio": 2.0,
-        "gamma": 1.0,
-        "omega_o": 0.0,
-        "grid": "-40:40:801",
-        "tol": None,
-        "threads": None,
-    },
-    "schmidt": {**_TWO_PHOTON, "channel": "lr", "grid": "-6:6:121"},
-    "verify": {"quick": False, "tol": None, "threads": None},
-}
-
-
-def _resolve(ns_args: argparse.Namespace) -> dict:
-    """Merge explicit flags over config-file values over defaults."""
-    command = ns_args.command
-    defaults = dict(_DEFAULTS[command])
-    merged = dict(defaults)
-    if ns_args.config:
-        loaded = json.loads(Path(ns_args.config).read_text(encoding="utf-8"))
-        if loaded.get("command", command) != command:
-            raise ValidationError(
-                f"config is for command {loaded.get('command')!r}, not {command!r}"
-            )
-        unknown = set(loaded) - set(defaults) - {"command"}
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        merged.update({k: v for k, v in loaded.items() if k != "command"})
-    for key in defaults:
-        value = getattr(ns_args, key, None)
-        if value is not None and value is not False:
-            merged[key] = value
-    return merged
+def _param_fields(params: NetworkParams) -> dict:
+    return {"kappa": params.kappa, "omega_c": params.omega_c, "omega_o": params.omega_o}
 
 
 def _auto_single_grid(pulse) -> FrequencyGrid:
@@ -198,72 +107,95 @@ def _auto_single_grid(pulse) -> FrequencyGrid:
     return FrequencyGrid(center - half, center + half, 801)
 
 
+def _setup(ns):
+    """A run's pulses, network parameters (None for hom, which sets them per
+    scan point), grid and quadrature settings, validated in that order.
+    `single` (the command with --pulse-csv) reads one pulse and picks a
+    pulse-scaled grid when none is given; the others read a pulse pair."""
+    # A config file may give a number as a string that the flag's type parses.
+    ns = {
+        k: float(v) if isinstance(v, str) and _FLAGS[k].get("type") is float else v
+        for k, v in ns.items()
+    }
+    single = "pulse_csv" in ns
+    if not single:
+        pulses = _pulse_pair(ns)
+    elif ns["pulse_csv"]:
+        pulses = load_sampled_pulse(ns["pulse_csv"])
+    else:
+        pulses = LorentzianPulse(ns["gamma"], ns["omega_o"])
+    params = NetworkParams(ns["kappa"], ns["omega_c"], ns["omega_o"]) if "kappa" in ns else None
+    grid = _auto_single_grid(pulses) if single and not ns["grid"] else _parse_grid(ns["grid"])
+    tol = None if ns["tol"] is None else float(ns["tol"])
+    cfg = QuadConfig() if tol is None else QuadConfig(rel_tol=tol, abs_tol=min(1e-12, tol))
+    return pulses, params, grid, cfg
+
+
+def _write_output(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _write_csv(ns, extra: dict, header: str, rows) -> None:
+    """Write a CSV result: '# key = value' lines for the package version,
+    the run's flags and `extra`, the column header, then one line per row
+    with every value in 17 significant digits."""
+    lines = [f"# photonsim {__version__}"]
+    lines += [f"# {k} = {ns[k]}" for k in sorted(ns) if k not in _RUN_FLAGS]
+    lines += [f"# {k} = {v}" for k, v in extra.items()]
+    lines.append(header)
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    _write_output("\n".join(lines) + "\n", ns["output"])
+
+
+def _write_json(ns, payload: dict) -> None:
+    """Write a JSON result: the payload and the package version, keys sorted."""
+    _write_output(_json_dumps({**payload, "version": __version__}), ns["output"])
+
+
 def cmd_single(ns) -> int:
-    pulse = _single_pulse(ns)
-    params = _params(ns)
-    cfg = _quad_config(ns)
-    grid = _parse_grid(ns["grid"]) if ns["grid"] else _auto_single_grid(pulse)
+    pulse, params, grid, cfg = _setup(ns)
     out = single_photon_output(pulse, grid, params)
     p_left, p_right = single_photon_probabilities(pulse, params, grid, cfg)
     norm = single_photon_norm(pulse, params, cfg)
-    lines = _metadata_lines(ns, {"norm": _fmt(norm)})
-    lines.append("nu,eta_l_re,eta_l_im,eta_r_re,eta_r_im,abs2_l,abs2_r")
-    for nu, el, er in zip(grid.points, out.eta_l, out.eta_r):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (nu, el.real, el.imag, er.real, er.imag, abs(el) ** 2, abs(er) ** 2)
-            )
-        )
-    _write_output("\n".join(lines) + "\n", ns.get("output"))
-    summary = {
-        "p_left": p_left,
-        "p_right": p_right,
-        "norm": norm,
-        "kappa": params.kappa,
-        "omega_c": params.omega_c,
-        "omega_o": params.omega_o,
-    }
+    rows = (
+        (nu, el.real, el.imag, er.real, er.imag, abs(el) ** 2, abs(er) ** 2)
+        for nu, el, er in zip(grid.points, out.eta_l, out.eta_r)
+    )
+    header = "nu,eta_l_re,eta_l_im,eta_r_re,eta_r_im,abs2_l,abs2_r"
+    _write_csv(ns, {"norm": _fmt(norm)}, header, rows)
+    summary = {"p_left": p_left, "p_right": p_right, "norm": norm, **_param_fields(params)}
     sys.stdout.write(_json_dumps(summary))
     return 0
 
 
 def cmd_amplitudes(ns) -> int:
-    inp = _pulse_pair(ns)
-    params = _params(ns)
-    grid = _parse_grid(ns["grid"])
-    cfg = _quad_config(ns)
+    inp, params, grid, cfg = _setup(ns)
     amp = amplitude_grid(Channel(ns["channel"]), grid, inp, params, cfg)
-    if ns.get("format") == "json":
+    if ns["format"] == "json":
         payload = {
             "channel": ns["channel"],
             "grid": {"min": grid.min, "max": grid.max, "n": grid.n},
-            "params": {"kappa": params.kappa, "omega_c": params.omega_c, "omega_o": params.omega_o},
+            "params": _param_fields(params),
             "max_point_error": amp.max_point_error,
             "re": amp.values.real.tolist(),
             "im": amp.values.imag.tolist(),
-            "version": __version__,
         }
-        _write_output(_json_dumps(payload), ns.get("output"))
+        _write_json(ns, payload)
         return 0
-    lines = _metadata_lines(ns, {"max_point_error": _fmt(amp.max_point_error)})
-    lines.append("omega1,omega2,re,im,abs2")
-    pts = grid.points
-    for i in range(grid.n):
-        for j in range(grid.n):
-            v = amp.values[i, j]
-            lines.append(
-                ",".join(_fmt(x) for x in (pts[i], pts[j], v.real, v.imag, abs(v) ** 2))
-            )
-    _write_output("\n".join(lines) + "\n", ns.get("output"))
+    rows = (
+        (w1, w2, v.real, v.imag, abs(v) ** 2)
+        for (w1, w2), v in zip(itertools.product(grid.points, repeat=2), amp.values.flat)
+    )
+    extra = {"max_point_error": _fmt(amp.max_point_error)}
+    _write_csv(ns, extra, "omega1,omega2,re,im,abs2", rows)
     return 0
 
 
 def cmd_probabilities(ns) -> int:
-    inp = _pulse_pair(ns)
-    params = _params(ns)
-    grid = _parse_grid(ns["grid"])
-    cfg = _quad_config(ns)
+    inp, params, grid, cfg = _setup(ns)
     p = probabilities(inp, params, grid, cfg)
     payload = {
         "p_ll": p.p_ll,
@@ -271,37 +203,26 @@ def cmd_probabilities(ns) -> int:
         "p_rr": p.p_rr,
         "total": p.total,
         "est_error": p.est_error,
-        "kappa": params.kappa,
-        "omega_c": params.omega_c,
-        "omega_o": params.omega_o,
+        **_param_fields(params),
         "identical_pulses": inp.identical,
         "grid": ns["grid"],
         "grid_used": uses_grid(inp),
-        "version": __version__,
     }
-    _write_output(_json_dumps(payload), ns.get("output"))
+    _write_json(ns, payload)
     return 0
 
 
 def cmd_hom(ns) -> int:
     kappas = _parse_kappas(ns["kappas"])
-    pulse = LorentzianPulse(ns["gamma"], ns["omega_o"])
-    grid = _parse_grid(ns["grid"])
-    cfg = _quad_config(ns)
-    rows = hom_scan(kappas, ns["ratio"], pulse, grid, cfg)
-    lines = _metadata_lines(ns, {"grid_used": uses_grid(TwoPhotonInput(pulse, pulse))})
-    lines.append("kappa,omega_c,p_lr,p_ll,p_rr")
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr)))
-    _write_output("\n".join(lines) + "\n", ns.get("output"))
+    inp, _, grid, cfg = _setup(ns)
+    rows = hom_scan(kappas, float(ns["ratio"]), inp.left, grid, cfg)
+    rows = ((r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr) for r in rows)
+    _write_csv(ns, {"grid_used": uses_grid(inp)}, "kappa,omega_c,p_lr,p_ll,p_rr", rows)
     return 0
 
 
 def cmd_schmidt(ns) -> int:
-    inp = _pulse_pair(ns)
-    params = _params(ns)
-    grid = _parse_grid(ns["grid"])
-    cfg = _quad_config(ns)
+    inp, params, grid, cfg = _setup(ns)
     amp = amplitude_grid(Channel(ns["channel"]), grid, inp, params, cfg)
     report = schmidt_report(amp)
     payload = {
@@ -309,18 +230,15 @@ def cmd_schmidt(ns) -> int:
         "entropy": report.entropy,
         "schmidt_number": report.schmidt_number,
         "singular_values": report.singular_values.tolist(),
-        "kappa": params.kappa,
-        "omega_c": params.omega_c,
-        "omega_o": params.omega_o,
+        **_param_fields(params),
         "grid": ns["grid"],
-        "version": __version__,
     }
-    _write_output(_json_dumps(payload), ns.get("output"))
+    _write_json(ns, payload)
     return 0
 
 
 def cmd_verify(ns) -> int:
-    report = run_verify(quick=bool(ns.get("quick")))
+    report = run_verify(quick=ns["quick"])
     width = max(len(c["name"]) for c in report["checks"])
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
@@ -331,25 +249,79 @@ def cmd_verify(ns) -> int:
     return 0 if report["all_passed"] else 1
 
 
-_COMMANDS = {
-    "single": cmd_single,
-    "amplitudes": cmd_amplitudes,
-    "probabilities": cmd_probabilities,
-    "hom": cmd_hom,
-    "schmidt": cmd_schmidt,
-    "verify": cmd_verify,
+# Every flag, as the keywords of its add_argument call.  The option is the
+# key with '-' for '_'; flags with a `type` or an `action` take numbers or
+# true/false, the others strings, and --config values are checked alike.
+_FLAGS = {
+    "gamma": {"type": float, "help": "Lorentzian pulse linewidth (both photons)"},
+    "gamma_l": {"type": float, "help": "left pulse linewidth (with --gamma-r)"},
+    "gamma_r": {"type": float, "help": "right pulse linewidth (with --gamma-l)"},
+    "omega_o": {"type": float, "help": "pulse central frequency"},
+    "kappa": {"type": float, "help": "qubit-field coupling rate"},
+    "omega_c": {"type": float, "help": "qubit detuning"},
+    "pulse_csv": {"help": "tabulated pulse (nu,re,im)"},
+    "pulse_csv_l": {"help": "tabulated left pulse (with --pulse-csv-r)"},
+    "pulse_csv_r": {"help": "tabulated right pulse (with --pulse-csv-l)"},
+    "channel": {"choices": ["ll", "lr", "rr"]},
+    "grid": {"help": "min:max:n (single: pulse-scaled if absent; see grid_used in probabilities)"},
+    "kappas": {"help": "comma-separated, strictly increasing"},
+    "ratio": {"type": float, "help": "omega_c = ratio * kappa"},
+    "quick": {"action": "store_true", "default": None},
+    "config": {"help": "JSON config file supplying flag values"},
+    "save_config": {"help": "write the resolved configuration to this path"},
+    "output": {"help": "output file (default: stdout)"},
+    "format": {"choices": ["csv", "json"]},
+    "threads": {"type": int, "help": "accepted and ignored (the grid fill is vectorised)"},
+    "tol": {"type": float, "help": "relative quadrature tolerance"},
 }
 
+# Flags every command takes after its own: where the run reads and writes
+# its files, which never enter its configuration, then two that do.
+_RUN_FLAGS = ("config", "save_config", "output", "format")
+_SHARED = {"threads": None, "tol": None}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file supplying flag values")
-    p.add_argument("--save-config", help="write the resolved configuration to this path")
-    p.add_argument("--output", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument(
-        "--threads", type=int, default=None, help="accepted and ignored (the grid fill is vectorised)"
-    )
-    p.add_argument("--tol", type=float, default=None, help="relative quadrature tolerance")
+# Flag defaults shared by several commands: a Lorentzian pulse, the pulse
+# pair of the two-photon commands and the joint spectral maps.
+_PULSE = {"gamma": 1.0, "omega_o": 0.0}
+_PAIR = {
+    "gamma": 1.0,
+    "gamma_l": None,
+    "gamma_r": None,
+    "omega_o": 0.0,
+    "kappa": 1.5,
+    "omega_c": 0.0,
+    "pulse_csv_l": None,
+    "pulse_csv_r": None,
+}
+_MAP = {"channel": "lr", **_PAIR, "grid": "-6:6:121"}
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[dict], int]
+    # The command's own flags, in --help order, with their values when
+    # neither a flag nor the --config file sets them.
+    defaults: dict
+
+
+_COMMANDS = {
+    "single": _Command(
+        "single-photon output spectra and channel split",
+        cmd_single,
+        {**_PULSE, "kappa": 1.0, "omega_c": 0.0, "pulse_csv": None, "grid": None},
+    ),
+    "amplitudes": _Command("joint spectral amplitude grid", cmd_amplitudes, _MAP),
+    "schmidt": _Command("spectral entanglement report", cmd_schmidt, _MAP),
+    "probabilities": _Command(
+        "output-channel probabilities", cmd_probabilities, {**_PAIR, "grid": "-40:40:801"}
+    ),
+    "hom": _Command(
+        "coincidence scan over coupling strengths",
+        cmd_hom,
+        {"kappas": "0.5,1,2,5,10,20", "ratio": 2.0, **_PULSE, "grid": "-40:40:801"},
+    ),
+    "verify": _Command("run the oracle and invariant check suite", cmd_verify, {"quick": False}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,59 +331,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"photonsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("single", help="single-photon output spectra and channel split")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega-o", dest="omega_o", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega-c", dest="omega_c", type=float)
-    p.add_argument("--pulse-csv", dest="pulse_csv")
-    p.add_argument("--grid", help="min:max:n (default: automatic wide window)")
-    _add_common(p)
-
-    for name in ("amplitudes", "schmidt"):
-        p = sub.add_parser(
-            name,
-            help="joint spectral amplitude grid" if name == "amplitudes" else "spectral entanglement report",
-        )
-        p.add_argument("--channel", choices=["ll", "lr", "rr"])
-        _add_two_photon_flags(p)
-        p.add_argument("--grid", help="min:max:n")
-        _add_common(p)
-
-    p = sub.add_parser("probabilities", help="output-channel probabilities")
-    _add_two_photon_flags(p)
-    p.add_argument("--grid", help="min:max:n; unused for Lorentzian pulses (see grid_used)")
-    _add_common(p)
-
-    p = sub.add_parser("hom", help="coincidence scan over coupling strengths")
-    p.add_argument("--kappas", help="comma-separated, strictly increasing")
-    p.add_argument("--ratio", type=float, help="omega_c = ratio * kappa")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega-o", dest="omega_o", type=float)
-    p.add_argument("--grid", help="min:max:n; unused for Lorentzian pulses (see grid_used)")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run the oracle and invariant check suite")
-    p.add_argument("--quick", action="store_true", default=None)
-    _add_common(p)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in (*command.defaults, *_RUN_FLAGS, *_SHARED):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
     return parser
 
 
-def _add_two_photon_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, help="identical Lorentzian pulses")
-    p.add_argument("--gamma-l", dest="gamma_l", type=float)
-    p.add_argument("--gamma-r", dest="gamma_r", type=float)
-    p.add_argument("--omega-o", dest="omega_o", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega-c", dest="omega_c", type=float)
-    p.add_argument("--pulse-csv-l", dest="pulse_csv_l")
-    p.add_argument("--pulse-csv-r", dest="pulse_csv_r")
+def _check_config_value(key: str, value, default) -> None:
+    """Reject a --config value that its flag could not have given; null
+    stands only where the default is null.
+
+    A value that passes is used as it is, so a config keeps the output
+    bytes it had before this check; `_setup` parses numeric strings.
+    """
+    flag = _FLAGS[key]
+    kind = flag.get("type", bool if "action" in flag else str)
+    if value is None:
+        ok = default is None
+    elif kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif isinstance(value, str):
+        ok = _parses(kind, value)
+    else:
+        ok = kind is not str and isinstance(value, (int, float))
+    if not ok:
+        want = {bool: "true or false", str: "a string", int: "an integer"}.get(kind, "a number")
+        raise ValidationError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
 
 
-def _is_number(tok: str) -> bool:
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge explicit flags over config-file values over defaults."""
+    command = args.command
+    defaults = {**_COMMANDS[command].defaults, **_SHARED}
+    merged = dict(defaults)
+    if args.config:
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValidationError("config must be a JSON object")
+        if loaded.get("command", command) != command:
+            raise ValidationError(
+                f"config is for command {loaded.get('command')!r}, not {command!r}"
+            )
+        unknown = set(loaded) - set(defaults) - {"command"}
+        if unknown:
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if key != "command":
+                _check_config_value(key, value, defaults[key])
+                merged[key] = value
+    for key in defaults:
+        value = getattr(args, key)
+        if value is not None:
+            merged[key] = value
+    return merged
+
+
+def _parses(kind, tok: str) -> bool:
     try:
-        float(tok)
+        kind(tok)
     except ValueError:
         return False
     return True
@@ -432,7 +410,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
             tok.startswith("--")
             and "=" not in tok
             and nxt.startswith("-")
-            and (tok in ("--grid", "--kappas") or _is_number(nxt))
+            and (tok in ("--grid", "--kappas") or _parses(float, nxt))
         ):
             out.append(f"{tok}={nxt}")
             skip = True
@@ -447,16 +425,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(argv))
     try:
         ns = _resolve(args)
-        ns["output"] = args.output
-        ns["format"] = args.format or "csv"
         if args.save_config:
-            payload = {k: v for k, v in ns.items() if k in _DEFAULTS[args.command]}
-            payload["command"] = args.command
-            Path(args.save_config).write_text(_json_dumps(payload), encoding="utf-8")
+            saved = _json_dumps({**ns, "command": args.command})
+            Path(args.save_config).write_text(saved, encoding="utf-8")
+        ns.update(output=args.output, format=args.format or "csv")
         # An overflow means the parameters exceed double precision: stop at
         # once, rather than let inf and NaN run through the quadrature.
         with np.errstate(over="raise"):
-            return _COMMANDS[args.command](ns)
+            return _COMMANDS[args.command].run(ns)
     except NoConvergence as exc:
         node = f" at node {exc.node}" if getattr(exc, "node", None) is not None else ""
         print(f"error: quadrature did not converge{node}: {exc}", file=sys.stderr)

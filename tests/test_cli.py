@@ -3,6 +3,7 @@ codes, config round trips, and output schemas."""
 
 import importlib.util
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import photonsim.amplitudes
+import photonsim.cli
 import photonsim.kernels
 from photonsim.cli import main
 from photonsim.model import (
@@ -96,19 +98,46 @@ def test_threads_flag_is_accepted_and_ignored(capsys):
     assert capsys.readouterr().out == plain
 
 
-def test_tracer_sites_resolve(monkeypatch):
-    # The benchmark tracer patches photonsim functions by name; a renamed
-    # function would silently zero its counters instead of failing.
+def load_tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_sites_resolve(monkeypatch):
+    # The benchmark tracer patches photonsim functions by name; a renamed
+    # function would silently zero its counters instead of failing.
+    tracing = load_tracing(monkeypatch)
     missing = [
         f"{module.__name__}.{attr}" for module, attr, _ in tracing.SITES if not hasattr(module, attr)
     ]
     assert tracing.SITES
     assert missing == []
+
+
+def test_cli_calls_traced_names_through_its_attributes(monkeypatch, tmp_path):
+    # The tracer replaces these names on photonsim.cli while a run lasts; a
+    # command that bound one at import time would bypass the replacement.
+    tracing = load_tracing(monkeypatch)
+    sites = [attr for module, attr, _ in tracing.SITES if module is photonsim.cli and attr != "main"]
+    calls = dict.fromkeys(sites, 0)
+    for attr in sites:
+        def counted(*args, _real=getattr(photonsim.cli, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(photonsim.cli, attr, counted)
+    pulse_path = tmp_path / "pulse.csv"
+    save_sampled_pulse(tabulate_pulse(LorentzianPulse(1.0), FrequencyGrid(-30.0, 30.0, 201)), pulse_path)
+    out = str(tmp_path / "out")
+    assert run_cli("single", "--pulse-csv", str(pulse_path), "--output", out) == 0
+    assert run_cli("probabilities", "--kappa", "0.5", "--output", out) == 0
+    assert run_cli("amplitudes", "--grid", "-2:2:5", "--output", out) == 0
+    assert run_cli("schmidt", "--grid", "-3:3:13", "--output", out) == 0
+    assert len(sites) == 7
+    assert [attr for attr, n in calls.items() if n == 0] == []
 
 
 def test_probabilities_distinct_pulses(capsys):
@@ -243,22 +272,103 @@ def test_separate_negative_exponent_value(tmp_path):
     assert "# omega_o = -1.5e-05" in a.read_text()
 
 
-def test_config_round_trip(tmp_path):
+ROUND_TRIPS = {
+    "amplitudes": ["--channel", "rr", "--gamma", "1.3", "--kappa", "0.8", "--omega-c", "0.4",
+                   "--grid", "-3:3:7"],
+    "single": ["--gamma", "1.3", "--kappa", "0.8", "--omega-c", "0.4", "--grid", "-100:100:401"],
+    "probabilities": ["--gamma-l", "1", "--gamma-r", "2", "--kappa", "0.8", "--tol", "1e-7"],
+    "hom": ["--kappas", "0.5,2", "--ratio", "1.5", "--gamma", "1.2", "--grid", "-8:8:17"],
+    "schmidt": ["--channel", "ll", "--kappa", "0.8", "--omega-o", "0.2", "--grid", "-3:3:13"],
+    "verify": ["--quick", "--threads", "2"],
+}
+
+
+@pytest.mark.parametrize("command", ROUND_TRIPS)
+def test_config_round_trip(tmp_path, capsys, command):
     cfg_path = tmp_path / "run.json"
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert run_cli("amplitudes", "--channel", "rr", "--gamma", "1.3", "--kappa", "0.8",
-                   "--omega-c", "0.4", "--grid", "-3:3:7",
+    a = tmp_path / "a.out"
+    b = tmp_path / "b.out"
+    assert run_cli(command, *ROUND_TRIPS[command],
                    "--save-config", str(cfg_path), "--output", str(a)) == 0
-    assert run_cli("amplitudes", "--config", str(cfg_path), "--output", str(b)) == 0
+    first = capsys.readouterr()
+    assert json.loads(cfg_path.read_text())["command"] == command
+    assert run_cli(command, "--config", str(cfg_path), "--output", str(b)) == 0
+    assert capsys.readouterr() == first
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
+@pytest.mark.parametrize("command, config, named", [
+    ("probabilities", {"command": "probabilities", "gamma": 1.0, "bogus": 2}, "unknown config keys"),
+    ("probabilities", [1], "JSON object"),
+    ("probabilities", {"grid": 5}, "'grid'"),
+    ("probabilities", {"gamma": None}, "'gamma'"),
+    ("probabilities", {"kappa": [1]}, "'kappa'"),
+    ("probabilities", {"omega_c": True}, "'omega_c'"),
+    ("probabilities", {"tol": "1e-6x"}, "'tol'"),
+    ("hom", {"kappas": 2}, "'kappas'"),
+    ("amplitudes", {"channel": {"lr": 1}}, "'channel'"),
+    ("single", {"threads": "3.5"}, "'threads'"),
+    ("verify", {"quick": "no"}, "'quick'"),
+    ("verify", {"quick": None}, "'quick'"),
+], ids=["unknown-keys", "list", "grid-int", "gamma-null", "kappa-list", "omega_c-bool",
+        "tol-text", "kappas-int", "channel-object", "threads-float-text", "quick-text", "quick-null"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, command, config, named):
+    # Malformed values once crashed with a traceback, ran with a bool as a
+    # number ("omega_c": true) or ran the quick suite for "quick": "no".
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"command": "probabilities", "gamma": 1.0, "bogus": 2}))
-    assert run_cli("probabilities", "--config", str(cfg_path)) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+def test_config_numbers_may_be_strings(tmp_path, capsys):
+    # As on the command line, a config value may be a string that the
+    # flag's type parses; "kappa": "0.8" once crashed with a TypeError.
+    flags = ["--kappa", "0.8", "--omega-c", "0.4", "--tol", "1e-7", "--grid=-8:8:17"]
+    assert run_cli("probabilities", *flags) == 0
+    want = capsys.readouterr().out
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"kappa": "0.8", "omega_c": "0.4", "tol": "1e-7",
+                                    "grid": "-8:8:17"}))
+    assert run_cli("probabilities", "--config", str(cfg_path)) == 0
+    assert capsys.readouterr().out == want
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg_path.write_text(json.dumps({"kappas": "1", "ratio": "2", "gamma": "1", "omega_o": "0"}))
+    assert run_cli("hom", "--config", str(cfg_path), "--output", str(a)) == 0
+    assert run_cli("hom", "--kappas", "1", "--ratio", "2", "--gamma", "1", "--omega-o", "0",
+                   "--output", str(b)) == 0
+    rows = [[ln for ln in f.read_text().splitlines() if not ln.startswith("#")] for f in (a, b)]
+    assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
+# Each subcommand's flags, as the parser accepted them before it was built
+# from one table; --config, --save-config, --output and --format go with
+# every command.
+HELP_FLAGS = {
+    "single": "--gamma --omega-o --kappa --omega-c --pulse-csv --grid",
+    "amplitudes": "--channel --gamma --gamma-l --gamma-r --omega-o --kappa --omega-c "
+                  "--pulse-csv-l --pulse-csv-r --grid",
+    "schmidt": "--channel --gamma --gamma-l --gamma-r --omega-o --kappa --omega-c "
+               "--pulse-csv-l --pulse-csv-r --grid",
+    "probabilities": "--gamma --gamma-l --gamma-r --omega-o --kappa --omega-c "
+                     "--pulse-csv-l --pulse-csv-r --grid",
+    "hom": "--kappas --ratio --gamma --omega-o --grid",
+    "verify": "--quick",
+}
+
+
+@pytest.mark.parametrize("command", HELP_FLAGS)
+def test_help_lists_each_commands_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    want = ["-h", *HELP_FLAGS[command].split(),
+            "--config", "--save-config", "--output", "--format", "--threads", "--tol"]
+    assert re.findall(r"\[(-[-a-z]+)", usage) == want
 
 
 def test_verify_quick_passes(tmp_path):
