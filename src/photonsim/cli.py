@@ -11,6 +11,7 @@ non-convergence (verify exits 1 when a check fails).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -111,7 +112,8 @@ def _setup(ns):
     """A run's pulses, network parameters (None for hom, which sets them per
     scan point), grid and quadrature settings, validated in that order.
     `single` (the command with --pulse-csv) reads one pulse and picks a
-    pulse-scaled grid when none is given; the others read a pulse pair."""
+    pulse-scaled grid when none is given (an empty one is an error); the
+    others read a pulse pair."""
     # A config file may give a number as a string that the flag's type parses.
     ns = {
         k: float(v) if isinstance(v, str) and _FLAGS[k].get("type") is float else v
@@ -125,7 +127,7 @@ def _setup(ns):
     else:
         pulses = LorentzianPulse(ns["gamma"], ns["omega_o"])
     params = NetworkParams(ns["kappa"], ns["omega_c"], ns["omega_o"]) if "kappa" in ns else None
-    grid = _auto_single_grid(pulses) if single and not ns["grid"] else _parse_grid(ns["grid"])
+    grid = _auto_single_grid(pulses) if single and ns["grid"] is None else _parse_grid(ns["grid"])
     tol = None if ns["tol"] is None else float(ns["tol"])
     cfg = QuadConfig() if tol is None else QuadConfig(rel_tol=tol, abs_tol=min(1e-12, tol))
     return pulses, params, grid, cfg
@@ -324,7 +326,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="photonsim",
         description="Steady-state output photon states of a two-qubit coherent feedback network",

@@ -161,11 +161,7 @@ def pulse_amplitude(pulse: PulseSpec, nu):
         den.imag = nu + pulse.omega_o
         out = (math.sqrt(pulse.gamma) / _SQRT_2PI) / den
     elif isinstance(pulse, SampledPulse):
-        nu = np.asarray(nu, dtype=float)
-        pts = pulse.grid.points
-        out = np.interp(nu, pts, pulse.values.real, left=0.0, right=0.0) + 1j * np.interp(
-            nu, pts, pulse.values.imag, left=0.0, right=0.0
-        )
+        out = np.interp(nu, pulse.grid.points, pulse.values, left=0.0, right=0.0)
     else:
         raise ValidationError(f"unknown pulse spec {pulse!r}")
     return out if np.ndim(out) else complex(out)

@@ -22,6 +22,7 @@ from .observables import (
     probabilities,
     single_photon_norm,
     single_photon_probabilities,
+    uses_grid,
     window_terms,
 )
 from .oracle import compare_on_grid, conv_prefactor, residue_j
@@ -102,12 +103,17 @@ def _check_contour_sides(quick):
     return worst, 1e-10, f"{n} upper-vs-lower contour closures, {n_deg} more near the double pole"
 
 
+def _where(inp, grid) -> str:
+    """Where probabilities integrates ``inp``: on the grid it was given,
+    or over the whole plane (Lorentzian pairs, which never read it)."""
+    return f"on the n={grid.n} grid" if uses_grid(inp) else "over the whole plane"
+
+
 def _check_conservation(quick):
-    n = 301 if quick else 401
-    grid = FrequencyGrid(-40.0, 40.0, n)
+    grid = FrequencyGrid(-40.0, 40.0, 301 if quick else 401)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
     dev = abs(probabilities(inp, NetworkParams(1.5, 0.0), grid).total - 1.0)
-    return dev, 2e-3, f"|P_LL+P_LR+P_RR - 1| on n={n}"
+    return dev, 2e-3, f"|P_LL+P_LR+P_RR - 1| {_where(inp, grid)}"
 
 
 def _check_coupling_limits(quick):
@@ -164,10 +170,12 @@ def _check_single_photon(quick):
 def _check_hom_monotone(quick):
     grid = FrequencyGrid(-40.0, 40.0, 201 if quick else 801)
     kappas = [0.5, 20.0] if quick else [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-    rows = hom_scan(kappas, 2.0, LorentzianPulse(1.0), grid)
+    pulse = LorentzianPulse(1.0)
+    rows = hom_scan(kappas, 2.0, pulse, grid)
     decreasing = all(b.p_lr < a.p_lr for a, b in zip(rows, rows[1:]))
     tail_ok = rows[-1].p_lr < 0.1
-    return (0.0 if (decreasing and tail_ok) else 1.0), 0.5, f"coincidence scan over kappa={kappas}"
+    detail = f"coincidence scan over kappa={kappas} {_where(TwoPhotonInput(pulse, pulse), grid)}"
+    return (0.0 if (decreasing and tail_ok) else 1.0), 0.5, detail
 
 
 def _check_convolution_effect(quick):
@@ -180,7 +188,8 @@ def _check_convolution_effect(quick):
     full = probabilities(inp, params, grid)
     lin = probabilities(inp, params, grid, include_convolution=False)
     shift = abs(full.p_lr - lin.p_lr)
-    return (0.0 if shift > 1e-2 else 1.0), 0.5, f"dropping the convolution shifts P_LR by {shift:.3f}"
+    detail = f"dropping the convolution shifts P_LR by {shift:.3f} {_where(inp, grid)}"
+    return (0.0 if shift > 1e-2 else 1.0), 0.5, detail
 
 
 def grid_window_reference(inp, params, grid, include_convolution=True) -> WindowTerms:

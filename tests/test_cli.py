@@ -189,6 +189,19 @@ def test_single_pulse_csv(tmp_path, capsys):
     assert payload["norm"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("command", ["single", "probabilities"])
+def test_empty_grid_exits_2(tmp_path, capsys, command):
+    # Only an absent grid picks single's pulse-scaled window; an empty one,
+    # from the flag or from a config, once ran on that window and exited 0.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"grid": ""}))
+    for args in (["--grid="], ["--config", str(cfg_path)]):
+        assert run_cli(command, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid must be 'min:max:n', got ''\n"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_pulse_csv_exits_2(tmp_path, capsys, bad):
     # Such a file once gave `single` exit 0, NaN rows and a "norm": NaN that
@@ -377,6 +390,55 @@ def test_verify_quick_passes(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert "oracle-vs-quadrature" in names
     assert "probability-conservation" in names
+
+
+def test_verify_quick_report_names_the_path_each_check_ran(tmp_path, capsys):
+    # Lorentzian probabilities never read a grid, so the checks built on
+    # them must not name one.
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--quick", "--output", str(out)) == 0
+    details = {c["name"]: c["detail"] for c in json.loads(out.read_text())["checks"]}
+    for name in ("probability-conservation", "hom-monotonicity", "convolution-effect"):
+        assert details[name].endswith(" over the whole plane")
+        assert "n=" not in details[name]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one CLI call, SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main parses every call with one parser per process; each call must
+    # print what the same call prints on a freshly built parser.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"kappa": 0.8, "grid": "-8:8:17"}))
+    calls = [
+        ["probabilities", "--config", str(cfg_path)],
+        ["probabilities"],
+        ["probabilities", "--kappa", "abc"],
+        ["schmidt", "--help"],
+        ["single"],
+        ["probabilities", "--config", str(cfg_path)],
+    ]
+    photonsim.cli.build_parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert photonsim.cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        photonsim.cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert json.loads(reused[0][1])["kappa"] == 0.8
+    assert json.loads(reused[1][1])["kappa"] == 1.5
+    assert reused[2][0] == 2 and "invalid float value: 'abc'" in reused[2][2]
+    assert reused[3][0] == 0 and reused[3][1].startswith("usage: photonsim schmidt")
+    assert reused[4][0] == 0 and reused[5] == reused[0]
 
 
 def test_verify_catches_injected_kernel_bug(monkeypatch):

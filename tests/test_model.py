@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsim.errors import NonMonotoneGrid, ParseError, ValidationError, ZeroNorm
 from photonsim.model import (
@@ -193,6 +195,40 @@ def test_sampled_interpolation_and_zero_extension():
     assert pulse_amplitude(pulse, 0.5) == pytest.approx(1.0)
     assert pulse_amplitude(pulse, -0.1) == 0.0
     assert pulse_amplitude(pulse, 2.1) == 0.0
+
+
+_PART = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lo=st.floats(-20.0, 20.0),
+    width=st.floats(0.1, 50.0),
+    n=st.integers(3, 40),
+    data=st.data(),
+)
+def test_sampled_amplitude_is_one_complex_interpolation(lo, width, n, data):
+    # Sampled pulses interpolate the complex samples in one pass; that must
+    # agree with interpolating the real and imaginary parts apart to
+    # rounding, hit the samples exactly and vanish outside the grid.
+    grid = FrequencyGrid(lo, lo + width, n)
+    parts = data.draw(st.lists(st.tuples(_PART, _PART), min_size=n, max_size=n))
+    pulse = SampledPulse(grid, np.array([complex(re, im) for re, im in parts]))
+    values, pts = pulse.values, grid.points
+    nodes = st.lists(st.floats(lo - 5.0, lo + width + 5.0), min_size=1, max_size=30)
+    nodes = np.array(data.draw(nodes))
+    got = pulse_amplitude(pulse, nodes)
+    split = np.interp(nodes, pts, values.real, left=0.0, right=0.0) + 1j * np.interp(
+        nodes, pts, values.imag, left=0.0, right=0.0
+    )
+    assert np.all(np.abs(got - split) <= 4 * np.finfo(float).eps * np.max(np.abs(values)))
+    outside = (nodes < grid.min) | (nodes > grid.max)
+    assert np.all(got[outside] == 0.0)
+    assert np.array_equal(pulse_amplitude(pulse, pts), values)
+    k = data.draw(st.integers(0, n - 1))
+    node = pulse_amplitude(pulse, float(pts[k]))
+    assert type(node) is complex and node == values[k]
+    assert type(pulse_amplitude(pulse, grid.max + 1.0)) is complex
 
 
 def test_two_photon_input_identical_flag():

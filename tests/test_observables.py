@@ -235,6 +235,35 @@ def test_tabulated_pulse_beyond_the_window(right, params, want):
     np.testing.assert_allclose((p.p_ll, p.p_lr, p.p_rr, p.total), want, rtol=0, atol=1e-9)
 
 
+def _gaussian(grid, centre, width):
+    return make_sampled_pulse(grid, np.exp(-0.5 * ((grid.points - centre) / width) ** 2))
+
+
+_FINE, _COARSE = FrequencyGrid(-10.0, 10.0, 201), FrequencyGrid(-10.0, 10.0, 68)
+
+
+# Tabulated pairs of distinct widths at spacings 0.1 and about 0.3 on [-10, 10], as
+# a spectrometer gives them.  (p_ll, p_lr, p_rr, est_error) recorded when the
+# sampled pulses were interpolated part by part; one complex interpolation
+# may move them by rounding only.
+@pytest.mark.parametrize(
+    "inp, params, want",
+    [
+        (TwoPhotonInput(_gaussian(_FINE, 0.3, 0.7), _gaussian(_FINE, -0.4, 1.4)),
+         NetworkParams(1.2, 0.5),
+         (0.1736071893070284, 0.655239585826368, 0.16939038052271538, 0.000749350676051137)),
+        (TwoPhotonInput(tabulate_pulse(LorentzianPulse(0.8, 0.5), _COARSE),
+                        tabulate_pulse(LorentzianPulse(1.6, -0.3), _COARSE)),
+         NetworkParams(0.9, -0.6),
+         (0.2906731441790915, 0.41041232852906767, 0.25133688385128655, 0.00505780505398041)),
+    ],
+    ids=["gaussian-0.1", "lorentzian-0.3"],
+)
+def test_tabulated_probabilities_pinned(inp, params, want):
+    p = probabilities(inp, params, FrequencyGrid(-12.0, 12.0, 97))
+    np.testing.assert_allclose((p.p_ll, p.p_lr, p.p_rr, p.est_error), want, rtol=0, atol=1e-14)
+
+
 def test_quadrature_term_sums_ladder_errors_per_rung():
     # The ladder error e_k of rung k moves the window mass by at most
     # 2 e_k |sum_{i+j=k} w_i w_j conj(T_ij) u_i u_j|, which by the triangle
