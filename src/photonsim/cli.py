@@ -2,7 +2,10 @@
 
 Subcommands: single | amplitudes | probabilities | hom | schmidt | verify.
 Outputs are deterministic: identical flags produce byte-identical files
-(no timestamps, fixed float formatting with 17 significant digits).
+(no timestamps, fixed float formatting with 17 significant digits).  The
+CSV writer formats a whole grid row per % call; the JSON writer writes
+what json.dumps(obj, indent=2, sort_keys=True) does, but encodes each
+list of numbers in one call to json's C encoder.
 Exit codes: 0 success, 2 validation error (also a --config file that is
 not a JSON object or holds a value its flag could not take), 3 quadrature
 non-convergence (verify exits 1 when a check fails).
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -45,12 +47,39 @@ from .quadrature import QuadConfig
 from .verify import run_verify
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_lines(values: list, width: int) -> str:
+    """Lines of `width` comma-separated values from one flat list, each value
+    in 17 significant digits, formatted by one % call.  For a Python float
+    "%.17g" % x is byte-equal to format(x, ".17g")."""
+    return (",".join(["%.17g"] * width) + "\n") * (len(values) // width) % tuple(values)
+
+
+# Types whose JSON text never holds ', '.
+_JSON_NUMBERS = {float, int, bool, type(None)}
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """What json.dumps(obj, indent=2, sort_keys=True) writes, plus a newline.
+
+    That call runs json's pure-Python encoder value by value.  Here a list
+    of numbers goes through json's C encoder in one call, and the newline
+    and indent are spliced in after each ', ', which no number contains;
+    floats take float.__repr__ on both paths.  Dict keys are strings.
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, pad: str) -> str:
+    """`obj` as indented JSON; `pad` is the newline and indent of its level."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _JSON_NUMBERS:
+            return "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
+    return json.dumps(obj)
 
 
 def _parse_grid(spec: str) -> FrequencyGrid:
@@ -140,16 +169,18 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(ns, extra: dict, header: str, rows) -> None:
+def _write_csv(ns, extra: dict, header: str, blocks) -> None:
     """Write a CSV result: '# key = value' lines for the package version,
-    the run's flags and `extra`, the column header, then one line per row
-    with every value in 17 significant digits."""
+    the run's flags and `extra`, the column header, then the rows.  They
+    come in blocks (one per grid row for a map), each a flat list of
+    numbers, row after row, formatted by `_csv_lines`."""
     lines = [f"# photonsim {__version__}"]
     lines += [f"# {k} = {ns[k]}" for k in sorted(ns) if k not in _RUN_FLAGS]
     lines += [f"# {k} = {v}" for k, v in extra.items()]
     lines.append(header)
-    lines += [",".join(map(_fmt, row)) for row in rows]
-    _write_output("\n".join(lines) + "\n", ns["output"])
+    width = header.count(",") + 1
+    body = "".join(_csv_lines(block, width) for block in blocks)
+    _write_output("\n".join(lines) + "\n" + body, ns["output"])
 
 
 def _write_json(ns, payload: dict) -> None:
@@ -162,12 +193,15 @@ def cmd_single(ns) -> int:
     out = single_photon_output(pulse, grid, params)
     p_left, p_right = single_photon_probabilities(pulse, params, grid, cfg)
     norm = single_photon_norm(pulse, params, cfg)
-    rows = (
-        (nu, el.real, el.imag, er.real, er.imag, abs(el) ** 2, abs(er) ** 2)
-        for nu, el, er in zip(grid.points, out.eta_l, out.eta_r)
-    )
+    # abs() of a Python complex, as numpy's scalar abs gives; the vectorised
+    # np.abs differs from both in the last bit.
+    values = [
+        x
+        for nu, el, er in zip(grid.points.tolist(), out.eta_l.tolist(), out.eta_r.tolist())
+        for x in (nu, el.real, el.imag, er.real, er.imag, abs(el) ** 2, abs(er) ** 2)
+    ]
     header = "nu,eta_l_re,eta_l_im,eta_r_re,eta_r_im,abs2_l,abs2_r"
-    _write_csv(ns, {"norm": _fmt(norm)}, header, rows)
+    _write_csv(ns, {"norm": "%.17g" % norm}, header, [values])
     summary = {"p_left": p_left, "p_right": p_right, "norm": norm, **_param_fields(params)}
     sys.stdout.write(_json_dumps(summary))
     return 0
@@ -187,12 +221,14 @@ def cmd_amplitudes(ns) -> int:
         }
         _write_json(ns, payload)
         return 0
-    rows = (
-        (w1, w2, v.real, v.imag, abs(v) ** 2)
-        for (w1, w2), v in zip(itertools.product(grid.points, repeat=2), amp.values.flat)
+    points = grid.points.tolist()
+    # One block per grid row; abs() of a Python complex, as in cmd_single.
+    blocks = (
+        [x for w2, v in zip(points, row.tolist()) for x in (w1, w2, v.real, v.imag, abs(v) ** 2)]
+        for w1, row in zip(points, amp.values)
     )
-    extra = {"max_point_error": _fmt(amp.max_point_error)}
-    _write_csv(ns, extra, "omega1,omega2,re,im,abs2", rows)
+    extra = {"max_point_error": "%.17g" % amp.max_point_error}
+    _write_csv(ns, extra, "omega1,omega2,re,im,abs2", blocks)
     return 0
 
 
@@ -218,8 +254,8 @@ def cmd_hom(ns) -> int:
     kappas = _parse_kappas(ns["kappas"])
     inp, _, grid, cfg = _setup(ns)
     rows = hom_scan(kappas, float(ns["ratio"]), inp.left, grid, cfg)
-    rows = ((r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr) for r in rows)
-    _write_csv(ns, {"grid_used": uses_grid(inp)}, "kappa,omega_c,p_lr,p_ll,p_rr", rows)
+    values = [x for r in rows for x in (r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr)]
+    _write_csv(ns, {"grid_used": uses_grid(inp)}, "kappa,omega_c,p_lr,p_ll,p_rr", [values])
     return 0
 
 

@@ -1,6 +1,7 @@
 """Integration tests for the command-line interface: determinism, exit
 codes, config round trips, and output schemas."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import photonsim.amplitudes
 import photonsim.cli
@@ -75,6 +78,139 @@ def test_amplitudes_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["channel"] == "lr"
     assert len(payload["re"]) == 5 and len(payload["re"][0]) == 5
+
+
+# Small-grid calls whose output bytes are pinned: every output file
+# (written into an empty directory, the two pulse files aside) and stdout.
+PAIR = ["--gamma-l", "0.8", "--gamma-r", "1.3", "--kappa", "1.2", "--omega-c", "0.5",
+        "--omega-o", "0.3"]
+TABULATED = ["--pulse-csv-l", "left.csv", "--pulse-csv-r", "right.csv"]
+BYTE_CALLS = {
+    "amplitudes-ll-csv": ["amplitudes", "--channel", "ll", *PAIR, "--grid", "-3:3:7"],
+    "amplitudes-lr-csv": ["amplitudes", "--channel", "lr", *PAIR, "--grid", "-3:3:7"],
+    "amplitudes-ll-json": ["amplitudes", "--channel", "ll", *PAIR, "--grid", "-3:3:7",
+                           "--format", "json"],
+    "amplitudes-lr-json": ["amplitudes", "--channel", "lr", *PAIR, "--grid", "-3:3:7",
+                           "--format", "json"],
+    "single": ["single", "--gamma", "0.9", "--kappa", "1.2", "--omega-c", "0.4",
+               "--grid", "-100:100:201"],
+    "single-pulse-csv": ["single", "--pulse-csv", "left.csv", "--kappa", "0.7",
+                         "--grid", "-12:12:49"],
+    "hom": ["hom", "--kappas", "0.5,1,2", "--grid", "-10:10:41"],
+    "probabilities": ["probabilities", *PAIR],
+    "probabilities-tabulated": ["probabilities", *TABULATED, "--kappa", "0.9",
+                                "--omega-c", "-0.3", "--grid", "-6:6:25"],
+    "schmidt": ["schmidt", "--channel", "lr", *PAIR, "--grid", "-3:3:9"],
+    "save-config": ["probabilities", "--kappa", "0.7", "--tol", "1e-7",
+                    "--save-config", "run.json"],
+    "verify-quick": ["verify", "--quick"],
+}
+# The sha256 prefix of no bytes: the call printed nothing.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb924"
+# sha256 prefixes recorded when the CSV and JSON writers formatted one value
+# per call, before they formatted one grid row or float list per call.
+PINNED_BYTES = {
+    "amplitudes-ll-csv": {
+        "out": "16c284a176ce9a411c9f929d6975cbb6",
+        "stdout": EMPTY,
+    },
+    "amplitudes-lr-csv": {
+        "out": "8711f5492627c64ca1cecf15fb780a92",
+        "stdout": EMPTY,
+    },
+    "amplitudes-ll-json": {
+        "out": "cf1bf143976d45323e41423510def155",
+        "stdout": EMPTY,
+    },
+    "amplitudes-lr-json": {
+        "out": "0788723fe4861f9e8cb5791cb11b06ec",
+        "stdout": EMPTY,
+    },
+    "single": {
+        "out": "77b255dd4136edc4cc78fd8d498aeca7",
+        "stdout": "8ee5f294dc02aec8ff00bd4e186b6515",
+    },
+    "single-pulse-csv": {
+        "out": "5b7428f0b4331141033ee4810dbcf2e0",
+        "stdout": "711095ac76789ea6cfb8b94060cae2c6",
+    },
+    "hom": {
+        "out": "cd0fc7c28e642fa56755c7252de773f1",
+        "stdout": EMPTY,
+    },
+    "probabilities": {
+        "out": "4ec74e79409090867f3d9504b6c0f65c",
+        "stdout": EMPTY,
+    },
+    "probabilities-tabulated": {
+        "out": "bfe2fa5af21023776e48e93c1ee9a04c",
+        "stdout": EMPTY,
+    },
+    "schmidt": {
+        "out": "79f3c36ee5f82c2e78727caa2c1e9443",
+        "stdout": EMPTY,
+    },
+    "save-config": {
+        "out": "b6eeeee044cdcbef72ccddf8956faabc",
+        "run.json": "49cb1bb64f860c2b1dc27a2c3712ce97",
+        "stdout": EMPTY,
+    },
+    "verify-quick": {
+        "out": "500b989425a6f1d100dd273bd1f7a90f",
+        "stdout": "9a877ac4125c85a3949859023d82f6c5",
+    },
+}
+
+
+@pytest.mark.parametrize("name", BYTE_CALLS)
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    save_sampled_pulse(tabulate_pulse(LorentzianPulse(1.0), FrequencyGrid(-10.0, 10.0, 81)),
+                       tmp_path / "left.csv")
+    save_sampled_pulse(tabulate_pulse(LorentzianPulse(1.4, 0.5), FrequencyGrid(-10.0, 10.0, 81)),
+                       tmp_path / "right.csv")
+    assert main([*BYTE_CALLS[name], "--output", "out"]) == 0
+    written = sorted(p for p in tmp_path.iterdir() if p.name not in ("left.csv", "right.csv"))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:32] for p in written}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32]
+    assert digests == PINNED_BYTES[name]
+
+
+# Doubles a 17-digit writer must keep: signed zero, infinities, NaN, the
+# smallest subnormal, a larger subnormal, the largest finite double.
+EDGE_FLOATS = [-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+               2.2250738585072009e-308, 1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+ANY_FLOAT = st.one_of(FLOATS, FLOATS.map(np.float64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(
+    lambda width: st.lists(st.lists(ANY_FLOAT, min_size=width, max_size=width), max_size=6)
+    .map(lambda rows: (width, rows))))
+@example((len(EDGE_FLOATS), [EDGE_FLOATS, EDGE_FLOATS[::-1]]))
+def test_csv_lines_format_each_value_as_format_17g(case):
+    width, rows = case
+    want = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
+    assert photonsim.cli._csv_lines([x for row in rows for x in row], width) == want
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), ANY_FLOAT, st.text(max_size=12))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.dictionaries(st.text(max_size=8), inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+@example({"": {}, "e": [], "q\"\\/\n\t\x00\u00e9\u4e2d\U0001f600": ["a, b", "\u2028", -0.0],
+          "n": [None, True, False, 3, -7, 2**70, [1.5, [float("nan")], []], {"z": [], "a": {}}],
+          "f": EDGE_FLOATS, "nested": [[1.0, 2.0], [float("inf"), -5e-324]]})
+def test_json_dumps_matches_indented_sorted_json(obj):
+    assert photonsim.cli._json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_probabilities_pass_through(capsys):
