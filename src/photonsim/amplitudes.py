@@ -100,7 +100,6 @@ def t_lr_identical(omega1: float, omega2: float, pulse: PulseSpec, params: Netwo
     the independent second path: its own rational form and channel
     factor on the pointwise convolve_g instead of assemble on j_lines.
     """
-    cfg = cfg or QuadConfig()
     inp = TwoPhotonInput(pulse, pulse)
     if params.kappa == 0.0:
         return complex(pulse_amplitude(pulse, omega1) * pulse_amplitude(pulse, omega2))

@@ -201,19 +201,13 @@ def pulse_tail_mass(pulse: PulseSpec, lo: float, hi: float) -> float:
     """|amplitude|^2 mass lying outside [lo, hi].
 
     Exact (arctan) for Lorentzian pulses; for sampled pulses the trapezoid
-    mass of the samples outside the window.
+    mass of every sample cell that is not wholly inside the window.
     """
     if isinstance(pulse, LorentzianPulse):
         return max(0.0, 1.0 - lorentzian_mass(pulse, lo, hi))
-    pts = pulse.grid.points
-    intensity = np.abs(pulse.values) ** 2
-    outside = (pts < lo) | (pts > hi)
-    if not outside.any():
-        return 0.0
-    # Trapezoid mass restricted to sample cells fully outside the window.
-    inside_mass = float(np.trapezoid(np.where(outside, 0.0, intensity), pts))
-    total = float(np.trapezoid(intensity, pts))
-    return max(0.0, total - inside_mass)
+    pts, intensity = pulse.grid.points, np.abs(pulse.values) ** 2
+    cells = 0.5 * np.diff(pts) * (intensity[:-1] + intensity[1:])
+    return float(cells[(pts[:-1] < lo) | (pts[1:] > hi)].sum())
 
 
 def _renormalized(grid: FrequencyGrid, values: np.ndarray):
@@ -255,12 +249,12 @@ def load_sampled_pulse(path) -> SampledPulse:
     norm; the applied scale factor is recorded on the returned pulse.
     """
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0].replace(" ", "") != _CSV_HEADER:
+    # (file line number, text) of the non-blank lines.
+    lines = [(k, s) for k, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if (s := ln.strip())]
+    if not lines or lines[0][1].replace(" ", "") != _CSV_HEADER:
         raise ParseError(f"{path}: expected header '{_CSV_HEADER}'")
     rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ParseError(f"{path}:{k}: expected 3 comma-separated fields")

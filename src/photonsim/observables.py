@@ -307,7 +307,7 @@ def uses_grid(inp: TwoPhotonInput) -> bool:
 def probabilities(
     inp: TwoPhotonInput,
     params: NetworkParams,
-    grid: FrequencyGrid,
+    grid: FrequencyGrid | None = None,
     cfg: QuadConfig | None = None,
     include_convolution: bool = True,
 ) -> ScatteringProbabilities:
@@ -315,12 +315,13 @@ def probabilities(
 
     P_LR integrates |T_LR|^2; T_LL and T_RR are symmetric in (omega1,
     omega2), so P_LL and P_RR are half the integrals of their |T|^2.
-    ``grid`` is the trapezoid window of sampled pulses; Lorentzian pairs
-    do not use it (uses_grid).
+    ``grid`` is the trapezoid window of sampled pulses, which need it;
+    Lorentzian pairs do not use it (uses_grid).
     ``include_convolution`` exists as a diagnostic switch that drops the
     nonlinear term everywhere.
     """
-    cfg = cfg or QuadConfig()
+    if grid is None and uses_grid(inp):
+        raise ValidationError("sampled pulses need a grid")
     if params.kappa == 0.0:
         # Pass-through network: the photons keep their (unit-norm) pulse
         # shapes and channels, so the split is exact.
@@ -340,13 +341,14 @@ def hom_scan(
     kappas,
     ratio: float,
     pulse: PulseSpec,
-    grid: FrequencyGrid,
+    grid: FrequencyGrid | None = None,
     cfg: QuadConfig | None = None,
 ) -> list[HomScanRow]:
     """Coincidence scan over coupling strengths with omega_c = ratio * kappa.
 
     Uses the same pulse in both input channels (the two-photon
     interference setting); kappas must be strictly increasing and > 0.
+    ``grid`` is as in probabilities: a sampled pulse needs one.
     """
     kappas = [float(k) for k in kappas]
     if not kappas or any(k <= 0 for k in kappas):
@@ -356,8 +358,7 @@ def hom_scan(
     inp = TwoPhotonInput(pulse, pulse)
     rows = []
     for k in kappas:
-        params = NetworkParams(kappa=k, omega_c=ratio * k, omega_o=getattr(pulse, "omega_o", 0.0))
-        p = probabilities(inp, params, grid, cfg)
+        p = probabilities(inp, NetworkParams(kappa=k, omega_c=ratio * k), grid, cfg)
         rows.append(
             HomScanRow(kappa=k, omega_c=ratio * k, p_lr=p.p_lr, p_ll=p.p_ll, p_rr=p.p_rr)
         )
@@ -398,7 +399,6 @@ def single_photon_probabilities(
     photon landing inside the window; by construction
     p_left + p_right = 1.
     """
-    cfg = cfg or QuadConfig()
 
     def f(nu, _line):
         t1, t2 = theta_arrays(nu, params)
@@ -421,7 +421,6 @@ def single_photon_norm(pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig 
     integral of |eta_L|^2 + |eta_R|^2; equals one for a unit-norm input
     up to quadrature error because the response is pointwise unitary.
     A Lorentzian pulse's integral is one _graded_line."""
-    cfg = cfg or QuadConfig()
 
     def f(nu, _line):
         t1, t2 = theta_arrays(nu, params)

@@ -472,7 +472,7 @@ def convolution_windows(omega_sums, inp: TwoPhotonInput, params: NetworkParams):
     return lo, hi, np.concatenate(seeds, axis=1)
 
 
-def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig):
+def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None):
     """Integrate over nu at every frequency sum s in ``omega_sums`` (m,) as
     one integrate_lines batch, folded at nu = s / 2.
 
@@ -544,7 +544,7 @@ def convolve_g(omega1, omega2, inp: TwoPhotonInput, params: NetworkParams, cfg: 
         p1, p2 = pulse_products(inp, nu, mu)
         return (p1 + p2) * kernels.g_kernel(w1[line], w2[line], nu, mu, params)
 
-    values, errors, evals = convolution_lines(integrand, w1 + w2, inp, params, cfg or QuadConfig())
+    values, errors, evals = convolution_lines(integrand, w1 + w2, inp, params, cfg)
     if not shape:
         return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
     return QuadResult(values.reshape(shape), errors.reshape(shape), evals.reshape(shape))
@@ -570,7 +570,7 @@ def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadCon
         p1, p2 = pulse_products(inp, nu, mu)
         return (p1 + p2) / ((nu + wc - two_ik) * (mu + wc - two_ik))
 
-    return convolution_lines(integrand, omega_sums, inp, params, cfg or QuadConfig())
+    return convolution_lines(integrand, omega_sums, inp, params, cfg)
 
 
 def j_line(omega_sum: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> QuadResult:

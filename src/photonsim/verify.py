@@ -22,7 +22,6 @@ from .observables import (
     probabilities,
     single_photon_norm,
     single_photon_probabilities,
-    uses_grid,
     window_terms,
 )
 from .oracle import compare_on_grid, conv_prefactor, residue_j
@@ -103,17 +102,10 @@ def _check_contour_sides(quick):
     return worst, 1e-10, f"{n} upper-vs-lower contour closures, {n_deg} more near the double pole"
 
 
-def _where(inp, grid) -> str:
-    """Where probabilities integrates ``inp``: on the grid it was given,
-    or over the whole plane (Lorentzian pairs, which never read it)."""
-    return f"on the n={grid.n} grid" if uses_grid(inp) else "over the whole plane"
-
-
 def _check_conservation(quick):
-    grid = FrequencyGrid(-40.0, 40.0, 301 if quick else 401)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
-    dev = abs(probabilities(inp, NetworkParams(1.5, 0.0), grid).total - 1.0)
-    return dev, 2e-3, f"|P_LL+P_LR+P_RR - 1| {_where(inp, grid)}"
+    dev = abs(probabilities(inp, NetworkParams(1.5, 0.0)).total - 1.0)
+    return dev, 2e-3, "|P_LL+P_LR+P_RR - 1| over the whole plane"
 
 
 def _check_coupling_limits(quick):
@@ -168,13 +160,11 @@ def _check_single_photon(quick):
 
 
 def _check_hom_monotone(quick):
-    grid = FrequencyGrid(-40.0, 40.0, 201 if quick else 801)
     kappas = [0.5, 20.0] if quick else [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-    pulse = LorentzianPulse(1.0)
-    rows = hom_scan(kappas, 2.0, pulse, grid)
+    rows = hom_scan(kappas, 2.0, LorentzianPulse(1.0))
     decreasing = all(b.p_lr < a.p_lr for a, b in zip(rows, rows[1:]))
     tail_ok = rows[-1].p_lr < 0.1
-    detail = f"coincidence scan over kappa={kappas} {_where(TwoPhotonInput(pulse, pulse), grid)}"
+    detail = f"coincidence scan over kappa={kappas} over the whole plane"
     return (0.0 if (decreasing and tail_ok) else 1.0), 0.5, detail
 
 
@@ -182,13 +172,12 @@ def _check_convolution_effect(quick):
     # Diagnostic negative control: the nonlinear term must visibly move the
     # coincidence probability (probability conservation alone cannot see it,
     # because the independent-scattering part is itself unitary).
-    grid = FrequencyGrid(-40.0, 40.0, 101 if quick else 401)
     inp = TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0))
     params = NetworkParams(1.5, 0.0)
-    full = probabilities(inp, params, grid)
-    lin = probabilities(inp, params, grid, include_convolution=False)
+    full = probabilities(inp, params)
+    lin = probabilities(inp, params, include_convolution=False)
     shift = abs(full.p_lr - lin.p_lr)
-    detail = f"dropping the convolution shifts P_LR by {shift:.3f} {_where(inp, grid)}"
+    detail = f"dropping the convolution shifts P_LR by {shift:.3f} over the whole plane"
     return (0.0 if shift > 1e-2 else 1.0), 0.5, detail
 
 
@@ -219,7 +208,8 @@ def _check_window_vs_grid(quick):
     # The factored window of probabilities against the n x n forms: masses,
     # refinement and edge terms agree to rounding, and the quadrature term is
     # at most the pointwise one.  Identical, distinct, double-pole
-    # (gamma_r = 4 kappa) and tabulated inputs, plus random draws.
+    # (gamma_r = 4 kappa) and tabulated inputs; the full suite adds random
+    # draws and two sampled pairs, the only inputs the CLI sums on a window.
     lor = LorentzianPulse
     tab = tabulate_pulse(lor(1.3, 0.5), FrequencyGrid(-20.0, 20.0, 81))
     cases = [
@@ -232,6 +222,9 @@ def _check_window_vs_grid(quick):
     for _ in range(0 if quick else 6):
         gl, wl, gr, wr, k, wc = rng.uniform([0.3, -2, 0.3, -2, 0.3, -5], [4, 2, 4, 2, 4, 5])
         cases.append(((lor(gl, wl), lor(gr, wr)), (k, wc)))
+    if not quick:
+        tab2 = tabulate_pulse(lor(0.7, -0.4), FrequencyGrid(-20.0, 20.0, 81))
+        cases += [((tab, tab), (1.5, 0.5)), ((tab, tab2), (0.8, -1.1))]
     grid = FrequencyGrid(-40.0, 40.0, 161)
     worst = 0.0
     for pulses, (k, wc) in cases:

@@ -338,6 +338,29 @@ def test_empty_grid_exits_2(tmp_path, capsys, command):
         assert captured.err == "error: grid must be 'min:max:n', got ''\n"
 
 
+def test_single_grid_missing_tabulated_tail_exits_2(tmp_path, capsys):
+    # The grid leaves 1.09e-2 of the interpolated pulse outside, above the
+    # 1e-2 that single accepts; the tail was once under-reported as 9.45e-3.
+    path = tmp_path / "pulse.csv"
+    save_sampled_pulse(tabulate_pulse(LorentzianPulse(1.0), FrequencyGrid(-10.0, 10.0, 41)), path)
+    args = ["single", "--pulse-csv", str(path), "--kappa", "1", "--output", str(tmp_path / "s.csv")]
+    assert run_cli(*args, "--grid", "-7.5:7.5:61") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "1.090e-02" in err
+    assert run_cli(*args, "--grid", "-10:10:81") == 0
+
+
+def test_tabulated_window_too_narrow_exits_2(tmp_path, capsys):
+    path = tmp_path / "pulse.csv"
+    save_sampled_pulse(tabulate_pulse(LorentzianPulse(1.0), FrequencyGrid(-10.0, 10.0, 81)), path)
+    assert run_cli("probabilities", "--pulse-csv-l", str(path), "--pulse-csv-r", str(path),
+                   "--kappa", "0.3", "--omega-c", "0", "--grid", "-1:1:9") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "1.134e-02" in captured.err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_pulse_csv_exits_2(tmp_path, capsys, bad):
     # Such a file once gave `single` exit 0, NaN rows and a "norm": NaN that

@@ -50,3 +50,19 @@ def test_modules_import_only_from_lower_layers():
             if dep not in ORDER[:i]:
                 back_edges.append(f"{name} -> {dep}")
     assert back_edges == []
+
+
+def test_only_the_engine_and_the_cli_default_a_quad_config():
+    # Every path gets its default tolerances from the engine, or from the
+    # CLI's own settings: QuadConfig() with no arguments appears nowhere else.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and not node.args and not node.keywords):
+                    continue
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "QuadConfig":
+                    found.append(f"{path.stem}.{where}")
+    assert sorted(found) == ["cli._setup", "quadrature._window_lines", "quadrature.integrate_half_line_multi"]

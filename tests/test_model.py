@@ -17,6 +17,7 @@ from photonsim.model import (
     load_sampled_pulse,
     make_sampled_pulse,
     pulse_amplitude,
+    pulse_tail_mass,
     save_sampled_pulse,
     tabulate_pulse,
 )
@@ -162,6 +163,26 @@ def test_non_finite_samples_are_rejected(tmp_path, bad):
     path.write_text(f"nu,re,im\n0,1,0\n1,{bad},0\n2,0.5,0\n")
     with pytest.raises(ParseError, match=":3:"):
         load_sampled_pulse(path)
+
+
+def test_parse_errors_name_the_file_line_across_blank_lines(tmp_path):
+    # Blank lines are skipped but still counted: the bad row is line 5.
+    path = tmp_path / "gaps.csv"
+    path.write_text("nu,re,im\n\n0,1,0\n\n1,x,0\n2,1,0\n")
+    with pytest.raises(ParseError, match=r"gaps\.csv:5: "):
+        load_sampled_pulse(path)
+
+
+def test_sampled_tail_mass_counts_every_cell_not_inside():
+    # Unit samples on 0..10: the cells [0, 3] and [7, 10] lie outside [3, 7].
+    flat = SampledPulse(FrequencyGrid(0.0, 10.0, 11), np.ones(11, dtype=complex))
+    assert pulse_tail_mass(flat, 3.0, 7.0) == 6.0
+    assert pulse_tail_mass(flat, 0.0, 10.0) == 0.0
+    assert pulse_tail_mass(flat, 3.5, 7.0) == 7.0  # [3, 4] is partly outside
+    # Against the interpolant's own mass beyond +-7.5, 1.089e-2: counting
+    # half of each boundary cell as inside once gave 9.45e-3.
+    tab = tabulate_pulse(LorentzianPulse(1.0), FrequencyGrid(-10.0, 10.0, 41))
+    assert pulse_tail_mass(tab, -7.5, 7.5) == pytest.approx(1.0898e-2, abs=1e-6)
 
 
 def test_tabulated_lorentzian_round_trip(tmp_path):

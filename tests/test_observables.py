@@ -9,7 +9,7 @@ import pytest
 
 import photonsim.observables
 from photonsim.amplitudes import Channel, JointAmplitude, amplitude_grid, channel_matrices, ladder
-from photonsim.errors import NoConvergence, ValidationError, ZeroAmplitude
+from photonsim.errors import NoConvergence, ValidationError, WindowTooNarrow, ZeroAmplitude
 from photonsim.model import (
     FrequencyGrid,
     LorentzianPulse,
@@ -324,6 +324,39 @@ def test_hom_scan_validation():
         hom_scan([2.0, 1.0], 2.0, PULSE, GRID)
     with pytest.raises(ValidationError):
         hom_scan([0.0, 1.0], 2.0, PULSE, GRID)
+
+
+@pytest.mark.parametrize("inp", [IDENTICAL, _DISTINCT], ids=["identical", "distinct"])
+def test_lorentzian_probabilities_need_no_grid(inp):
+    # Lorentzian pairs are integrated over the whole plane, so a grid is
+    # never read: leaving it out gives the same bits.
+    params = NetworkParams(0.7, -1.3)
+    assert probabilities(inp, params) == probabilities(inp, params, GRID)
+    no_conv = probabilities(inp, params, include_convolution=False)
+    assert no_conv == probabilities(inp, params, GRID, include_convolution=False)
+
+
+def test_hom_scan_needs_no_grid_for_lorentzian_pulses():
+    pulse = LorentzianPulse(1.3, 0.4)
+    assert hom_scan([0.5, 2.0], 1.5, pulse) == hom_scan([0.5, 2.0], 1.5, pulse, GRID)
+
+
+def test_sampled_pulses_need_a_grid():
+    tab = tabulate_pulse(PULSE, FrequencyGrid(-10.0, 10.0, 81))
+    for inp in (TwoPhotonInput(tab, tab), TwoPhotonInput(tab, PULSE)):
+        with pytest.raises(ValidationError, match="grid"):
+            probabilities(inp, NetworkParams(1.5, 0.0))
+    with pytest.raises(ValidationError, match="grid"):
+        hom_scan([1.0], 2.0, tab)
+
+
+def test_tabulated_window_too_narrow():
+    # The convolution mass beyond a [-1, 1] window is bounded from its edges
+    # at about 1.134e-2, above the 1e-2 that the window may leave unmodeled.
+    tab = tabulate_pulse(PULSE, FrequencyGrid(-10.0, 10.0, 81))
+    with pytest.raises(WindowTooNarrow) as info:
+        probabilities(TwoPhotonInput(tab, tab), NetworkParams(0.3, 0.0), FrequencyGrid(-1.0, 1.0, 9))
+    assert info.value.tail_bound == pytest.approx(1.134e-2, abs=5e-6)
 
 
 def test_schmidt_separable_is_rank_one():
