@@ -241,6 +241,17 @@ def tabulate_pulse(pulse: PulseSpec, grid: FrequencyGrid) -> SampledPulse:
 _CSV_HEADER = "nu,re,im"
 
 
+def _csv_fields(rows) -> np.ndarray:
+    """The (n, 3) float fields of CSV data rows, by one float() pass over
+    all of them; ValueError names what is wrong with a bad row."""
+    if any(s.count(",") != 2 for s in rows):
+        raise ValueError("expected 3 comma-separated fields")
+    flat = np.array(list(map(float, ",".join(rows).split(",")))) if rows else np.empty(0)
+    if not np.isfinite(flat).all():
+        raise ValueError("fields must be finite numbers")
+    return flat.reshape(-1, 3)
+
+
 def load_sampled_pulse(path) -> SampledPulse:
     """Load a pulse from CSV with header ``nu,re,im``.
 
@@ -253,27 +264,28 @@ def load_sampled_pulse(path) -> SampledPulse:
     lines = [(k, s) for k, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if (s := ln.strip())]
     if not lines or lines[0][1].replace(" ", "") != _CSV_HEADER:
         raise ParseError(f"{path}: expected header '{_CSV_HEADER}'")
-    rows = []
-    for k, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{k}: expected 3 comma-separated fields")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{k}: {exc}") from exc
-        if not all(map(math.isfinite, rows[-1])):
-            raise ParseError(f"{path}:{k}: fields must be finite numbers")
-    if len(rows) < 3:
-        raise ParseError(f"{path}: need at least 3 samples, got {len(rows)}")
-    nu = np.array([r[0] for r in rows])
+    try:
+        fields = _csv_fields([s for _, s in lines[1:]])
+    except ValueError:
+        # Name the file line of the first bad row.
+        for k, s in lines[1:]:
+            try:
+                _csv_fields([s])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{k}: {exc}") from exc
+        raise
+    if len(fields) < 3:
+        raise ParseError(f"{path}: need at least 3 samples, got {len(fields)}")
+    nu, re, im = fields.T
     if not np.all(np.diff(nu) > 0):
         raise NonMonotoneGrid(f"{path}: nu column must be strictly increasing")
     spacing = np.diff(nu)
     if np.max(spacing) - np.min(spacing) > 1e-6 * np.mean(spacing):
         raise ParseError(f"{path}: nu column must be uniformly spaced")
-    grid = FrequencyGrid(min=float(nu[0]), max=float(nu[-1]), n=len(rows))
-    values = np.array([complex(r[1], r[2]) for r in rows])
+    grid = FrequencyGrid(min=float(nu[0]), max=float(nu[-1]), n=nu.size)
+    # Set as parts: re + 1j * im is not always complex(re, im), bit for bit.
+    values = np.empty(nu.size, dtype=complex)
+    values.real, values.imag = re, im
     return make_sampled_pulse(grid, values)
 
 

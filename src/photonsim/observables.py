@@ -15,8 +15,8 @@ with mapped tails gives the 16 Gram entries of single_factors, and one
 outer line over s does the rest, each of its sweeps integrating J and the
 three A at its nodes as one inner batch (quadrature.convolution_lines,
 which folds each line at nu = s / 2, so the inner integrands are summed
-with their images under nu <-> s - nu, all four from the pulse products
-and u u at each node).
+with their images under nu <-> s - nu; all four are rows of one array
+from the pulse products and u u, and identical pulses copy LL into RR).
 J stays on the engine, so --tol and NoConvergence hold, and the residue
 oracle stays independent.  est_error bounds the outer error plus how far
 the inner and Gram errors move the masses.
@@ -139,7 +139,7 @@ def _gram_error(gram, err):
 def _gram_density(x, inp, params):
     """The 16 Gram integrands conj(f_a) f_b of single_factors at x."""
     fa = single_factors(x, inp, params)
-    return np.stack([np.conj(a) * b for a in fa for b in fa], axis=-1)
+    return np.stack([np.conj(a) * b for a in fa for b in fa])
 
 
 def _graded_line(f, features, distances, cfg):
@@ -177,12 +177,13 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
             q = uu.real**2 + uu.imag**2
             p1, p2 = pulse_products(inp, nu, mu)
             both = p1 + p2
-            out = np.empty(nu.shape + (4,), dtype=complex)
-            out[..., 0] = uu * both
-            out[..., 2] = (a * b - 4.0 * k**2) * q * np.conj(both)
+            out = np.empty((4,) + nu.shape, dtype=complex)
+            out[0] = uu * both
+            out[2] = (a * b - 4.0 * k**2) * q * np.conj(both)
             q *= -4.0 * k
-            out[..., 1] = 1j * q * np.conj(a * p1 + b * p2)
-            out[..., 3] = 1j * q * np.conj(b * p1 + a * p2)
+            out[1] = 1j * q * np.conj(a * p1 + b * p2)
+            # Identical pulses (p2 is p1) make the RR row the LL row bit for bit.
+            out[3] = out[1] if inp.identical else 1j * q * np.conj(b * p1 + a * p2)
             return out
 
         v, e, _ = convolution_lines(inner, sums, inp, params, cfg)
@@ -192,7 +193,7 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
         p = math.pi / (k * (sp**2 + 16.0 * k**2))
         dens = 2.0 * (h[:, None] * a).real + (np.abs(h) ** 2 * p)[:, None]
         bound = 2.0 * e * (np.abs(spf) * (np.abs(a) @ _CHANNEL_WEIGHTS + 2.0 * np.abs(h) * p) + 2.0 * np.abs(h))
-        return np.concatenate([dens, bound[:, None]], axis=1).reshape(s.shape + (4,))
+        return np.concatenate([dens.T, bound[None, :]]).reshape((4,) + s.shape)
 
     features = [c_l + c_r, -2.0 * wc, c_l - wc, c_r - wc]  # the poles of h, A and P in s
     v, v_err = _graded_line(conv_density, features, [g_l + g_r, 2 * k, g_l + 2 * k, g_r + 2 * k], cfg)
@@ -403,7 +404,7 @@ def single_photon_probabilities(
     def f(nu, _line):
         t1, t2 = theta_arrays(nu, params)
         xi2 = np.abs(pulse_amplitude(pulse, nu)) ** 2
-        return np.stack([np.abs(t1) ** 2 * xi2, np.abs(t2) ** 2 * xi2], axis=-1)
+        return np.stack([np.abs(t1) ** 2 * xi2, np.abs(t2) ** 2 * xi2])
 
     seeds = graded_seeds([pulse_center(pulse), -params.omega_c], [0.5 * pulse_width(pulse), 2.0 * params.kappa])
     if isinstance(pulse, SampledPulse):

@@ -7,7 +7,8 @@ integrals at once, each with k >= 1 components and its own subdivision
 budget: the open panels of all of them live in flat arrays, every sweep
 evaluates the new panels with one integrand call per block of ``_BLOCK``
 panels, and each unconverged integral then bisects every panel whose
-error exceeds its fair share of the tolerance.
+error exceeds its fair share of the tolerance.  A k-component integrand
+returns (k,) + x.shape: each component's node values are contiguous.
 
 ``convolution_lines`` is the one entry for integrals over nu at a set of
 frequency sums s, with windows, seeds and tails from
@@ -192,8 +193,10 @@ def _gk_blocks(f, seg, a, b, seg_line, edge, step):
     of panels [a, b] of segments ``seg``; a panel's error is the max-norm
     over the k components of the Kronrod-Gauss difference.  Segments with
     step != 0 integrate in the mapped variable u,
-    x = edge + step * (1 - u) / u with step = +-scale."""
-    val, err = None, np.empty((0, 1))
+    x = edge + step * (1 - u) / u with step = +-scale.  Values (k,) + x.shape
+    reshape to (k, r, 15) uncopied, one weight-product row per component and
+    panel; values that do not end in x.shape raise ShapeMismatch."""
+    val, err = None, np.empty(0)
     seg_mapped = step != 0.0
     for start in range(0, seg.size, _BLOCK):
         sl = slice(start, start + _BLOCK)
@@ -205,18 +208,18 @@ def _gk_blocks(f, seg, a, b, seg_line, edge, step):
             u = x[mapped]
             st = step[s[mapped]][:, None]
             x[mapped] = edge[s[mapped]][:, None] + st * (1.0 - u) / u
-        # (r, 15, k) for scalar (k = 1) and vector integrands alike.
-        fx = np.asarray(f(x, seg_line[s][:, None]), dtype=complex).reshape(s.size, 15, -1)
+        fx = np.asarray(f(x, seg_line[s][:, None]), dtype=complex)
+        if fx.shape[fx.ndim - 2 :] != x.shape:
+            raise ShapeMismatch(f"integrand values of shape {fx.shape} do not end in the nodes' {x.shape}")
+        fx = fx.reshape(-1, s.size, 15)
         if mapped.any():
-            fx[mapped] *= (np.abs(st) / u**2)[:, :, None]
-        # One row of 15 node values per panel and component.
-        k = fx.shape[2]
-        kg = (fx.transpose(0, 2, 1).reshape(-1, 15) @ _WKG).reshape(-1, k, 2) * h[:, None, None]
+            fx[:, mapped] *= np.abs(st) / u**2
+        kg = (fx.reshape(-1, 15) @ _WKG).reshape(fx.shape[0], -1, 2) * h[:, None]
         if val is None:
-            val, err = np.empty((seg.size, k), dtype=complex), np.empty((seg.size, k))
-        val[sl] = kg[..., 0]
-        err[sl] = np.abs(kg[..., 0] - kg[..., 1])
-    return val, err.max(axis=1)
+            val, err = np.empty((seg.size, fx.shape[0]), dtype=complex), np.empty(seg.size)
+        val[sl] = kg[..., 0].T
+        err[sl] = np.abs(kg[..., 0] - kg[..., 1]).max(axis=0)
+    return val, err
 
 
 def _segment_sums(seg, val, nseg):
@@ -323,7 +326,8 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
 
     ``f(x, line)`` receives abscissae x of shape (r, 15) and the integer
     line index of each row, shape (r, 1), and returns values shaped like
-    x, or x.shape + (k,) for a vector-valued integrand of k components.
+    x, or (k,) + x.shape (component-major) for k components; other shapes
+    raise ShapeMismatch.
     Line i is integrated over the window [lo[i], hi[i]] (a window with
     hi <= lo is empty and adds zero); ``seeds`` is an (m, s) array of
     initial break points, NaN or out-of-window entries ignored.  With
@@ -383,9 +387,10 @@ def integrate_half_line_multi(f, edge, direction, scale, cfg: QuadConfig | None 
     Line i covers (edge[i], +inf) for direction[i] = +1 and
     (-inf, edge[i]) for -1, mapped onto u in (0, 1] by
     u = scale / (scale + |x - edge|); edge, direction and scale broadcast.
-    ``f`` is called as in integrate_lines and may be vector-valued; it
-    must decay at least like 1/x^2.  Each line is its own integral with
-    integrate_lines' rule and a budget of cfg.max_subdivisions.
+    ``f`` is called as in integrate_lines and may be vector-valued,
+    returning (k,) + x.shape; it must decay at least like 1/x^2.  Each
+    line is its own integral with integrate_lines' rule and a budget of
+    cfg.max_subdivisions.
 
     Returns (values (m,) or (m, k), error estimates (m,), total
     evaluations as one int).  NoConvergence names the lowest failing line
@@ -480,17 +485,17 @@ def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: Networ
     symmetrised f(nu, s - nu) + f(s - nu, nu) over nu >= s / 2, and
     ``integrand(nu, mu, line)`` must return that symmetrised integrand at
     mu = s - nu, shaped as integrate_lines' x and line; it may be
-    vector-valued.  Each line's window is convolution_windows' window and
-    its mirror image through s / 2, above s / 2: [s / 2, max(hi, s - lo)],
-    empty where the window is; the seeds are mirrored onto nu >= s / 2,
-    where mirror-image features such as -omega_c and s + omega_c, or the
-    centres of identical pulses, fall together.  A mapped tail beyond the
-    window follows unless a pulse has compact support: the convolution
-    integrands decay like 1/nu^4, so a bare window would leave an O(W^-3)
-    truncation error.  Returns what integrate_lines returns, or exact
-    zeros for kappa = 0, where the convolution term vanishes.
-    NoConvergence names the lowest failing frequency sum and sets
-    ``.node`` to its index.
+    vector-valued, (k,) + nu.shape.  Each line's window is
+    convolution_windows' window and its mirror image through s / 2, above
+    s / 2: [s / 2, max(hi, s - lo)], empty where the window is; the seeds
+    are mirrored onto nu >= s / 2, where mirror-image features such as
+    -omega_c and s + omega_c, or the centres of identical pulses, fall
+    together.  A mapped tail beyond the window follows unless a pulse has
+    compact support: the convolution integrands decay like 1/nu^4, so a
+    bare window would leave an O(W^-3) truncation error.  Returns what
+    integrate_lines returns, or exact zeros for kappa = 0, where the
+    convolution term vanishes.  NoConvergence names the lowest failing
+    frequency sum and sets ``.node`` to its index.
     """
     sums = np.atleast_1d(np.asarray(omega_sums, dtype=float))
     if params.kappa == 0.0:

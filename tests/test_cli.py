@@ -98,6 +98,7 @@ BYTE_CALLS = {
                          "--grid", "-12:12:49"],
     "hom": ["hom", "--kappas", "0.5,1,2", "--grid", "-10:10:41"],
     "probabilities": ["probabilities", *PAIR],
+    "probabilities-identical": ["probabilities", "--gamma", "1", "--kappa", "1.5", "--omega-c", "3"],
     "probabilities-tabulated": ["probabilities", *TABULATED, "--kappa", "0.9",
                                 "--omega-c", "-0.3", "--grid", "-6:6:25"],
     "schmidt": ["schmidt", "--channel", "lr", *PAIR, "--grid", "-3:3:9"],
@@ -140,6 +141,12 @@ PINNED_BYTES = {
     },
     "probabilities": {
         "out": "4ec74e79409090867f3d9504b6c0f65c",
+        "stdout": EMPTY,
+    },
+    # Recorded before the whole-plane inner integrand copied its LL row into
+    # the RR row for identical pulses.
+    "probabilities-identical": {
+        "out": "a2b8247fba3d1c3a007268d949696b6f",
         "stdout": EMPTY,
     },
     "probabilities-tabulated": {

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonsim.errors import NonMonotoneGrid, ParseError, ValidationError, ZeroNorm
@@ -250,6 +250,85 @@ def test_sampled_amplitude_is_one_complex_interpolation(lo, width, n, data):
     node = pulse_amplitude(pulse, float(pts[k]))
     assert type(node) is complex and node == values[k]
     assert type(pulse_amplitude(pulse, grid.max + 1.0)) is complex
+
+
+def _load_row_by_row(path):
+    """The pulse CSV parse of one split and one float() per field, row by
+    row: the reference for load_sampled_pulse's one-pass parse."""
+    lines = [(k, s) for k, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if (s := ln.strip())]
+    if not lines or lines[0][1].replace(" ", "") != "nu,re,im":
+        raise ParseError(f"{path}: expected header 'nu,re,im'")
+    rows = []
+    for k, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{k}: expected 3 comma-separated fields")
+        try:
+            rows.append(tuple(float(p) for p in parts))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{k}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"{path}:{k}: fields must be finite numbers")
+    if len(rows) < 3:
+        raise ParseError(f"{path}: need at least 3 samples, got {len(rows)}")
+    nu = np.array([r[0] for r in rows])
+    if not np.all(np.diff(nu) > 0):
+        raise NonMonotoneGrid(f"{path}: nu column must be strictly increasing")
+    spacing = np.diff(nu)
+    if np.max(spacing) - np.min(spacing) > 1e-6 * np.mean(spacing):
+        raise ParseError(f"{path}: nu column must be uniformly spaced")
+    grid = FrequencyGrid(min=float(nu[0]), max=float(nu[-1]), n=len(rows))
+    return make_sampled_pulse(grid, np.array([complex(r[1], r[2]) for r in rows]))
+
+
+def _load_outcome(load, path):
+    """A loaded pulse's grid, sample bits and scale, or the error raised."""
+    try:
+        pulse = load(path)
+    except (ParseError, NonMonotoneGrid, ValidationError, ZeroNorm) as exc:
+        return type(exc), str(exc)
+    return pulse.grid, pulse.values.tobytes(), pulse.scale_applied
+
+
+_FIELD = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -2.5e-300, 6.02e23, 5e-324]),
+    st.floats(-1e150, 1e150),  # squares stay finite in the renormalization
+)
+_STYLES = st.sampled_from(["{!r}", "{:.6e}", "{:.17g}", "{:g}", "{:E}"])
+_PADS = st.sampled_from(["", " ", "  "])
+_BLANKS = st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2)
+# Rows that fail one of the parse checks.
+_BAD_ROWS = ["1,2", "1,2,3,4", "x,1,0", "1,,0", "0,1e,0", "0,nan,0", "0,1,-inf", "inf,0,1"]
+
+
+@st.composite
+def _pulse_csv(draw):
+    """Pulse CSV text: spaced fields in mixed notations between blank
+    lines, the frequencies decreasing now and then, and at most one
+    malformed row."""
+    start, step = draw(st.sampled_from([-2.5, 0.0, 1e-3, 3.0])), draw(st.sampled_from([0.5, 1.0, 0.1, 2e-3]))
+    n = draw(st.integers(0, 7))
+    order = range(n - 1, -1, -1) if draw(st.integers(0, 7)) == 0 else range(n)
+    rows = [",".join(draw(_PADS) + draw(_STYLES).format(x) + draw(_PADS)
+                     for x in (start + i * step, draw(_FIELD), draw(_FIELD))) for i in order]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD_ROWS))
+    out = ["nu,re,im"]
+    for row in rows:
+        out += [*draw(_BLANKS), row]
+    return "\n".join(out + draw(_BLANKS)) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pulse_csv())
+@example("nu,re,im\n\n0, -0.0 ,1.5e-3\n  \n5.0e-1,-1.25E+2,-0.0\n1.0,  2e0,3\n\n")
+@example("nu,re,im\n0,1,0\n\n1,inf,0\n2,x,0\n")
+def test_one_pass_parse_matches_the_row_by_row_parse(tmp_path_factory, text):
+    # Same grid, same sample bits (signed zeros included) and same scale,
+    # or the same error naming the same file line.
+    path = tmp_path_factory.getbasetemp() / "pulse.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _load_outcome(load_sampled_pulse, path) == _load_outcome(_load_row_by_row, path)
 
 
 def test_two_photon_input_identical_flag():

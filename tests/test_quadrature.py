@@ -105,7 +105,7 @@ def test_vector_half_lines_both_directions():
     # [x^-2, x^-4] beyond +1 and below -1 integrate to [1, 1/3]; x^-3
     # flips sign with the direction.
     def f(x, line):
-        return np.stack([x**-2, x**-4, x**-3], axis=-1)
+        return np.stack([x**-2, x**-4, x**-3])
 
     values, errors, evals = integrate_half_line_multi(f, [1.0, -1.0], [1, -1], 5.0)
     assert values.shape == (2, 3)
@@ -117,7 +117,7 @@ def test_vector_half_lines_both_directions():
 def lorentz_pair(centres):
     def f(x, line):
         c = centres[line]
-        return np.stack([1.0 / (1.0 + (x - c) ** 2), np.exp(-np.abs(x - c)) / (1.0 + x**2)], axis=-1)
+        return np.stack([1.0 / (1.0 + (x - c) ** 2), np.exp(-np.abs(x - c)) / (1.0 + x**2)])
 
     return f
 
@@ -155,7 +155,7 @@ def test_half_line_no_convergence_names_lowest_failing_line():
     hard = np.array([False, False, True, False, True])
 
     def f(x, line):
-        return np.where(hard[line], np.exp(-np.abs(x - 3.0)), x**-2)[..., None] * [1.0, 2.0]
+        return np.where(hard[line], np.exp(-np.abs(x - 3.0)), x**-2) * np.array([1.0, 2.0])[:, None, None]
 
     with pytest.raises(NoConvergence) as exc_info:
         integrate_half_line_multi(f, np.ones(5), 1, 1.0, cfg)
@@ -167,6 +167,38 @@ def test_half_line_no_convergence_names_lowest_failing_line():
     assert exc.partial.abs_error_estimate > 0 and exc.partial.evaluations > 0
     values, _, _ = integrate_half_line_multi(f, np.ones(5), 1, 1.0, QuadConfig())
     np.testing.assert_allclose(values[~hard].real, [[1.0, 2.0]] * 3, atol=1e-12)
+
+
+def test_vector_columns_equal_the_scalar_integral():
+    # A component-major integrand whose 3 rows are one scalar function:
+    # every column is the scalar integral bit for bit, with the same error
+    # estimates and evaluation counts, windows and both mapped tails alike.
+    def g(x, line):
+        return 1.0 / (1.0 + (x - line) ** 2) + 1j * np.exp(-0.5 * x**2) / (1.0 + x**2)
+
+    lo, hi, seeds = [-2.0, 35.0, 0.0], [3.0, 50.0, 1.0], [[0.5], [40.0], [0.2]]
+    want, want_err, want_evals = integrate_lines(g, lo, hi, seeds=seeds, tails=True)
+    values, errors, evals = integrate_lines(lambda x, line: np.stack([g(x, line)] * 3), lo, hi,
+                                            seeds=seeds, tails=True)
+    assert values.shape == (3, 3)
+    for c in range(3):
+        np.testing.assert_array_equal(values[:, c], want)
+    np.testing.assert_array_equal(errors, want_err)
+    np.testing.assert_array_equal(evals, want_evals)
+    assert np.all(evals > 15 * 4)  # it had to refine
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x, line: np.stack([x**-2, x**-4], axis=-1), lambda x, line: x[:, :1] ** -2],
+    ids=["node-major-vector", "short-rows"],
+)
+def test_values_that_do_not_end_in_the_node_shape_are_rejected(f):
+    # An (r, 15, k) result would otherwise be reshaped into wrong numbers.
+    with pytest.raises(ShapeMismatch, match="do not end in"):
+        integrate_half_line_multi(f, [1.0, -1.0], [1, -1], 5.0)
+    with pytest.raises(ShapeMismatch, match="do not end in"):
+        integrate_lines(f, 1.0, 2.0)
 
 
 def test_graded_seeds():
