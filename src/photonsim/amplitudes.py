@@ -61,8 +61,6 @@ class JointAmplitude:
     grid1: FrequencyGrid
     grid2: FrequencyGrid
     values: np.ndarray
-    params: NetworkParams
-    input: TwoPhotonInput
     max_point_error: float
 
     def __post_init__(self):
@@ -180,7 +178,8 @@ def assemble(w1, w2, inp: TwoPhotonInput, params: NetworkParams, j=None, j_err=N
     linear_parts): the linear parts plus u(w1) u(w2) s' times ``j``, i.e.
     sum_factor times J at w1 + w2, with error estimate ``j_err``; s' is
     formed per node, so the term is exactly 0 where s' is.  j = None drops
-    it.  It is added in place to the fresh linear parts (flat peak memory).
+    it; j_err comes with every j.  The term is added in place to the fresh
+    linear parts (flat peak memory).
     """
     ll, lr, rr = linear_parts(w1, w2, inp, params)
     if j is None:
@@ -188,7 +187,7 @@ def assemble(w1, w2, inp: TwoPhotonInput, params: NetworkParams, j=None, j_err=N
     den = params.omega_c - 2j * params.kappa
     conv = (1.0 / (w1 + den)) * (1.0 / (w2 + den))
     conv *= w1 + w2 + 2.0 * params.omega_c
-    point_err = np.zeros(conv.shape) if j_err is None else np.abs(conv) * j_err
+    point_err = np.abs(conv) * j_err
     conv *= j
     ll += conv
     lr += conv
@@ -213,7 +212,6 @@ def channel_matrices(
     inp: TwoPhotonInput,
     params: NetworkParams,
     cfg: QuadConfig | None = None,
-    include_convolution: bool = True,
 ) -> GridAssembly:
     """All three amplitude matrices on grid x grid with one shared
     convolution ladder.
@@ -227,7 +225,7 @@ def channel_matrices(
     """
     w = grid.points
     j = j_err = None
-    if include_convolution and params.kappa != 0.0:
+    if params.kappa != 0.0:
         # The sliding windows index the ladder by i + j without copying it.
         _, fj, fj_err = ladder(grid, inp, params, cfg)
         j, j_err = (sliding_window_view(a, grid.n) for a in (fj, fj_err))
@@ -250,7 +248,5 @@ def amplitude_grid(
         grid1=grid,
         grid2=grid,
         values=values,
-        params=params,
-        input=inp,
         max_point_error=float(ga.point_err.max()) if ga.point_err.size else 0.0,
     )

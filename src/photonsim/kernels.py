@@ -78,13 +78,12 @@ class SinglePhotonOutput:
     """Output spectra when a single photon enters the left channel.
 
     eta_l and eta_r are the left/right output-channel amplitudes sampled
-    on ``grid``; tail_mass is the input-pulse intensity outside the grid.
+    on ``grid``.
     """
 
     grid: FrequencyGrid
     eta_l: np.ndarray
     eta_r: np.ndarray
-    tail_mass: float
 
     def __post_init__(self):
         for name in ("eta_l", "eta_r"):
@@ -103,9 +102,8 @@ def single_photon_output(
 
     eta_l = theta1 * amplitude, eta_r = theta2 * amplitude on the grid.
     The grid should cover the pulse (tail below ~1e-4) when the arrays
-    are meant to represent the full output state; the reported tail_mass
-    makes the truncation visible, and grids missing more than 1e-2 of the
-    pulse intensity are rejected as too narrow.
+    are meant to represent the full output state; grids missing more than
+    1e-2 of the pulse intensity are rejected as too narrow.
     """
     tail = pulse_tail_mass(pulse, grid.min, grid.max)
     if tail > 1e-2:
@@ -115,4 +113,4 @@ def single_photon_output(
     pts = grid.points
     t1, t2 = theta_arrays(pts, params)
     xi = pulse_amplitude(pulse, pts)
-    return SinglePhotonOutput(grid=grid, eta_l=t1 * xi, eta_r=t2 * xi, tail_mass=tail)
+    return SinglePhotonOutput(grid=grid, eta_l=t1 * xi, eta_r=t2 * xi)

@@ -211,20 +211,27 @@ def pulse_tail_mass(pulse: PulseSpec, lo: float, hi: float) -> float:
 
 
 def _renormalized(grid: FrequencyGrid, values: np.ndarray):
+    # Extreme samples would overflow or underflow when squared: first scale them exactly by a power of two.
+    shift, peak = 0, float(np.abs(values).max())
+    if not 2.0**-500 <= peak <= 2.0**500:
+        shift = -math.frexp(peak)[1]
+        values = np.ldexp(values.view(float), shift).view(complex)
     norm_sq = float(np.trapezoid(np.abs(values) ** 2, grid.points))
     if norm_sq <= 0.0:
         raise ZeroNorm("pulse samples are identically zero")
     scale = 1.0 / math.sqrt(norm_sq)
+    if not -1074 < math.frexp(scale)[1] + shift <= 1024:
+        raise ValidationError("pulse samples need a normalising factor within the double range 5e-324 to 1.8e308")
     # Skip the rescale when the data is already normalized so an emitted
     # pulse file reloads bit-identically.
     if abs(norm_sq - 1.0) <= 1e-12:
-        return values, 1.0
-    return values * scale, scale
+        return values, math.ldexp(1.0, shift)
+    return values * scale, math.ldexp(scale, shift)
 
 
 def make_sampled_pulse(grid: FrequencyGrid, values) -> SampledPulse:
     """Build a unit-norm SampledPulse from raw samples."""
-    values = np.asarray(values, dtype=complex)
+    values = np.ascontiguousarray(values, dtype=complex)
     if values.shape != (grid.n,):
         raise ValidationError(f"expected {grid.n} samples, got shape {values.shape}")
     if not np.all(np.isfinite(values)):

@@ -146,7 +146,7 @@ def _graded_line(f, features, distances, cfg):
     """(value, error estimate) of f over the real line: a window spanning
     the graded seeds of the features plus its two mapped tails."""
     seeds = graded_seeds(features, distances)
-    v, e, _ = integrate_lines(f, seeds.min(), seeds.max(), cfg, seeds=seeds[None, :], tails=True)
+    v, e, _ = integrate_lines(f, seeds.min(), seeds.max(), cfg, seeds=seeds[None, :], tails=(-1.0, 1.0))
     return v[0], e[0]
 
 
@@ -237,7 +237,6 @@ def window_terms(
     params: NetworkParams,
     grid: FrequencyGrid,
     cfg: QuadConfig | None = None,
-    include_convolution: bool = True,
 ) -> WindowTerms:
     """The window part of probabilities from the per-frequency factors and
     the 2n - 1 ladder rungs, without any n x n array (kappa > 0).
@@ -250,7 +249,7 @@ def window_terms(
     f = single_factors(w, inp, params)
     u = 1.0 / (w + (params.omega_c - 2j * params.kappa))
     h = err = None
-    if include_convolution and params.kappa != 0.0:
+    if params.kappa != 0.0:
         s_prime, fj, fj_err = ladder(grid, inp, params, cfg)
         h, err = s_prime * fj, np.abs(s_prime) * fj_err
     masses, rung_sums, gram = _window_sums(f, u, h, wt)
@@ -277,11 +276,11 @@ def window_terms(
     return WindowTerms(tuple(float(x) for x in masses), refinement, quadrature, edge_mass, gram)
 
 
-def _window_masses(inp, params, grid, cfg, include_convolution):
+def _window_masses(inp, params, grid, cfg):
     """Masses for sampled pulses and the bound on their weighted error: the
     trapezoid window plus the exact linear mass beyond it, the pair sums of
     G_in + G_out less those of G_in, with G_out from the two half-lines."""
-    win = window_terms(inp, params, grid, cfg, include_convolution)
+    win = window_terms(inp, params, grid, cfg)
     g, g_err, _ = integrate_half_line_multi(
         lambda x, _line: _gram_density(x, inp, params), [grid.max, grid.min], [1.0, -1.0],
         max(grid.max - grid.min, 10.0), _CORRECTION_CFG,
@@ -318,17 +317,17 @@ def probabilities(
     omega2), so P_LL and P_RR are half the integrals of their |T|^2.
     ``grid`` is the trapezoid window of sampled pulses, which need it;
     Lorentzian pairs do not use it (uses_grid).
-    ``include_convolution`` exists as a diagnostic switch that drops the
-    nonlinear term everywhere.
+    ``include_convolution=False`` drops the nonlinear term: a diagnostic
+    switch for Lorentzian pairs only, which sampled pulses reject.
     """
-    if grid is None and uses_grid(inp):
-        raise ValidationError("sampled pulses need a grid")
+    if uses_grid(inp) and (grid is None or not include_convolution):
+        raise ValidationError("sampled pulses need a grid and keep the convolution term")
     if params.kappa == 0.0:
         # Pass-through network: the photons keep their (unit-norm) pulse
         # shapes and channels, so the split is exact.
         return ScatteringProbabilities(p_ll=0.0, p_lr=1.0, p_rr=0.0, total=1.0, est_error=0.0)
     if uses_grid(inp):
-        masses, est_error = _window_masses(inp, params, grid, cfg, include_convolution)
+        masses, est_error = _window_masses(inp, params, grid, cfg)
     else:
         masses, est_error = _whole_plane_masses(inp, params, cfg, include_convolution)
     p_ll, p_lr, p_rr = (float(x) for x in _CHANNEL_WEIGHTS * masses)

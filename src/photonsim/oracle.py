@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import cmul
 from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
-from .quadrature import QuadConfig, convolve_g
+from .quadrature import convolve_g
 
 
 def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o_l, omega_o_r, params: NetworkParams):
@@ -107,22 +107,11 @@ def residue_convolution(omega1, omega2, gamma_l: float, gamma_r: float, omega_o:
 
 
 @dataclass(frozen=True)
-class NodeComparison:
-    omega1: float
-    omega2: float
-    quadrature: complex
-    residue: complex
-    abs_err: float
-    rel_err: float
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     max_abs_err: float
     max_rel_err: float
     worst_node: tuple[float, float]
     near_zero: bool
-    nodes: tuple[NodeComparison, ...]  # sorted by decreasing relative error
 
 
 def compare_on_grid(
@@ -131,32 +120,29 @@ def compare_on_grid(
     gamma_r: float,
     omega_o: float,
     params: NetworkParams,
-    cfg: QuadConfig | None = None,
 ) -> ComparisonReport:
     """Evaluate both convolution paths on grid x grid and report errors.
 
     Each path is one batched call over the grid's pairs.  Relative errors
     are measured against the larger magnitude at each node, with nodes
-    below 1e-12 of the grid-wide peak treated as exact zeros.
+    below 1e-12 of the grid-wide peak treated as exact zeros; worst_node
+    is the first node, in row-major order, with the largest one.
     ``near_zero`` flags regimes (e.g. vanishing coupling) where both paths
     are uniformly below 1e-8 in absolute value.
     """
     w1, w2 = (w.ravel() for w in np.meshgrid(grid.points, grid.points, indexing="ij"))
     inp = TwoPhotonInput(LorentzianPulse(gamma_l, omega_o), LorentzianPulse(gamma_r, omega_o))
-    q = convolve_g(w1, w2, inp, params, cfg).value
+    q = convolve_g(w1, w2, inp, params).value
     r = residue_convolution(w1, w2, gamma_l, gamma_r, omega_o, params)
     # hypot rounds like abs() on one complex; numpy's vectorised abs may not.
     abs_err, qa, ra = (np.hypot(z.real, z.imag) for z in (q - r, q, r))
     denom = np.maximum(qa, ra)
     peak = float(denom.max())
     rel_err = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 1e-12 * peak)
-    columns = (a.tolist() for a in (w1, w2, q, r, abs_err, rel_err))
-    nodes = sorted(map(NodeComparison, *columns), key=lambda nc: nc.rel_err, reverse=True)
-    worst = nodes[0]
+    worst = int(np.argmax(rel_err))
     return ComparisonReport(
         max_abs_err=float(abs_err.max()),
-        max_rel_err=worst.rel_err,
-        worst_node=(worst.omega1, worst.omega2),
+        max_rel_err=float(rel_err[worst]),
+        worst_node=(float(w1[worst]), float(w2[worst])),
         near_zero=peak <= 1e-8,
-        nodes=tuple(nodes),
     )

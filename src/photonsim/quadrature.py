@@ -1,8 +1,8 @@
 """Complex-valued numerical integration.
 
 One batched adaptive Gauss-Kronrod (7/15) engine, ``_refine``, does every
-line integral.  ``integrate_lines`` (windows, optionally with mapped
-tails) and ``integrate_half_line_multi`` (mapped half-lines) refine many
+line integral.  ``integrate_lines`` (windows, plus a mapped tail per side
+in ``tails``) and ``integrate_half_line_multi`` (mapped half-lines) refine many
 integrals at once, each with k >= 1 components and its own subdivision
 budget: the open panels of all of them live in flat arrays, every sweep
 evaluates the new panels with one integrand call per block of ``_BLOCK``
@@ -321,7 +321,7 @@ def _refine(f, m, seg, a, b, edge, step, budget, cfg, labels):
     return (line_values if k > 1 else line_values[:, 0]), line_errors, line_evals
 
 
-def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails: bool = False):
+def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails=()):
     """Adaptively integrate m integrands at once.
 
     ``f(x, line)`` receives abscissae x of shape (r, 15) and the integer
@@ -330,9 +330,10 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
     raise ShapeMismatch.
     Line i is integrated over the window [lo[i], hi[i]] (a window with
     hi <= lo is empty and adds zero); ``seeds`` is an (m, s) array of
-    initial break points, NaN or out-of-window entries ignored.  With
-    ``tails`` each line also gets the half-lines beyond lo and hi, mapped
-    as in integrate_half_line_multi with scale max(|edge|, 10).
+    initial break points, NaN or out-of-window entries ignored.  ``tails``
+    lists the sides that each line also integrates beyond its window: -1
+    the half-line below lo, +1 the half-line above hi, each mapped as in
+    integrate_half_line_multi with scale max(|edge|, 10).
 
     Each window and each tail is its own integral: converged when its
     summed panel error (max-norm over components) is at most
@@ -347,26 +348,20 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails:
     and ``.partial`` its QuadResult (whose value holds the k components
     of a vector-valued integrand).
     """
-    return _window_lines(f, lo, hi, cfg, seeds, (-1.0, 1.0) if tails else ())
-
-
-def _window_lines(f, lo, hi, cfg, seeds, sides):
-    """integrate_lines with a mapped tail beyond lo for -1 in ``sides`` and
-    beyond hi for +1: windows first, then the tails in the order given."""
     cfg = cfg or QuadConfig()
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    m, t = lo.size, len(sides)
+    m, t = lo.size, len(tails)
     seg, a, b = _initial_panels(lo, hi, seeds)
-    edges = [lo if d < 0 else hi for d in sides]
+    edges = [lo if d < 0 else hi for d in tails]
     edge = np.concatenate([np.zeros(m), *edges])
-    step = np.concatenate([np.zeros(m), *(d * np.maximum(np.abs(e), 10.0) for d, e in zip(sides, edges))])
+    step = np.concatenate([np.zeros(m), *(d * np.maximum(np.abs(e), 10.0) for d, e in zip(tails, edges))])
     tail_budget = min(cfg.max_subdivisions, _TAIL_SUBDIVISIONS)
     budget = np.repeat([cfg.max_subdivisions] + [tail_budget] * t, m)
     seg = np.concatenate([seg, np.arange(m, (t + 1) * m)])
     a = np.concatenate([a, np.zeros(t * m)])
     b = np.concatenate([b, np.ones(t * m)])
-    labels = ("window", *("left tail" if d < 0 else "right tail" for d in sides))
+    labels = ("window", *("left tail" if d < 0 else "right tail" for d in tails))
     return _refine(f, m, seg, a, b, edge, step, budget, cfg, labels)
 
 
@@ -506,7 +501,7 @@ def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: Networ
     seeds = half[:, None] + np.abs(seeds - half[:, None])
     compact = pulse_support(inp.left) is not None or pulse_support(inp.right) is not None
     try:
-        return _window_lines(
+        return integrate_lines(
             lambda nu, line: integrand(nu, sums[line] - nu, line), half, hi, cfg, seeds, () if compact else (1.0,)
         )
     except NoConvergence as exc:

@@ -181,9 +181,9 @@ def _check_convolution_effect(quick):
     return (0.0 if shift > 1e-2 else 1.0), 0.5, detail
 
 
-def grid_window_reference(inp, params, grid, include_convolution=True) -> WindowTerms:
+def grid_window_reference(inp, params, grid) -> WindowTerms:
     """window_terms the pointwise way, from the n x n channel_matrices."""
-    ga = channel_matrices(grid, inp, params, include_convolution=include_convolution)
+    ga = channel_matrices(grid, inp, params)
     absolute = [np.abs(t) for t in (ga.ll, ga.lr, ga.rr)]
     dens = [a**2 for a in absolute]
     m = grid.n - 1 + grid.n % 2

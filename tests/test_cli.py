@@ -21,6 +21,7 @@ from photonsim.cli import main
 from photonsim.model import (
     FrequencyGrid,
     LorentzianPulse,
+    load_sampled_pulse,
     save_sampled_pulse,
     tabulate_pulse,
 )
@@ -381,6 +382,29 @@ def test_non_finite_pulse_csv_exits_2(tmp_path, capsys, bad):
                  ["probabilities", "--pulse-csv-l", str(path), "--pulse-csv-r", str(path)]):
         assert run_cli(*args, "--kappa", "1") == 2
         assert "pulse.csv:22:" in capsys.readouterr().err
+
+
+def _three_sample_csv(tmp_path, peak):
+    path = tmp_path / "pulse.csv"
+    path.write_text(f"nu,re,im\n-1.0,0,0\n0.0,{peak!r},0\n1.0,0,0\n")
+    return path
+
+
+@pytest.mark.parametrize("peak", [1.3407807929942597e154, 1e-170])
+def test_pulse_csv_with_extreme_samples(tmp_path, capsys, peak):
+    # Squaring these samples once overflowed (exit 2 on "overflow encountered
+    # in square") or underflowed to "pulse samples are identically zero".
+    path = _three_sample_csv(tmp_path, peak)
+    assert run_cli("single", "--pulse-csv", str(path), "--kappa", "1") == 0
+    pulse = load_sampled_pulse(path)
+    assert np.trapezoid(np.abs(pulse.values) ** 2, pulse.grid.points) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_pulse_csv_without_a_finite_normalising_factor_exits_2(tmp_path, capsys):
+    # A lone 5e-324 would need a factor of about 4e323, beyond the largest double.
+    assert run_cli("single", "--pulse-csv", str(_three_sample_csv(tmp_path, 5e-324)), "--kappa", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "5e-324 to 1.8e308" in err
 
 
 def test_hom_scan_decreasing(tmp_path):

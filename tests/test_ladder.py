@@ -193,7 +193,7 @@ def test_integrate_lines_tails_and_empty_windows():
     def f(x, line):
         return 1.0 / (1.0 + (x - centres[line]) ** 2)
 
-    values, errors, _ = integrate_lines(f, [-2.0, 35.0], [3.0, 50.0], tails=True)
+    values, errors, _ = integrate_lines(f, [-2.0, 35.0], [3.0, 50.0], tails=(-1.0, 1.0))
     np.testing.assert_allclose(values, np.pi, atol=1e-10)
     assert np.all(errors < 1e-8)
     values, errors, evals = integrate_lines(f, [-2.0, 1.0], [3.0, 1.0])

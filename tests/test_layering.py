@@ -65,4 +65,17 @@ def test_only_the_engine_and_the_cli_default_a_quad_config():
                 func = node.func
                 if getattr(func, "id", getattr(func, "attr", None)) == "QuadConfig":
                     found.append(f"{path.stem}.{where}")
-    assert sorted(found) == ["cli._setup", "quadrature._window_lines", "quadrature.integrate_half_line_multi"]
+    assert sorted(found) == ["cli._setup", "quadrature.integrate_half_line_multi", "quadrature.integrate_lines"]
+
+
+def test_only_the_whole_plane_path_can_drop_the_convolution():
+    # The diagnostic switch reaches the one path that any caller switches;
+    # every other function always includes the convolution term.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "include_convolution" for a in args):
+                    found.append(f"{path.stem}.{node.name}")
+    assert sorted(found) == ["observables._whole_plane_masses", "observables.probabilities"]

@@ -78,12 +78,12 @@ def test_same_channel_amplitudes_are_symmetric():
         assert np.max(np.abs(t - t.T)) <= 1e-15 * np.max(np.abs(t))
 
 
-def _nxn_reference(inp, params, grid, include_convolution=True):
+def _nxn_reference(inp, params, grid):
     """(p_ll, p_lr, p_rr, total), the quadrature error term and the rest of
     est_error, with the window summed over the n x n channel matrices, for
     sampled pulses whose supports lie inside the window: nothing linear
     lies beyond it, and the convolution there is bounded from the edges."""
-    ref = grid_window_reference(inp, params, grid, include_convolution)
+    ref = grid_window_reference(inp, params, grid)
     m = ref.masses
     p = (0.5 * m[0], m[1], 0.5 * m[2])
     return (*p, sum(p)), ref.quadrature, ref.refinement + ref.edge_mass * (grid.max - grid.min) / 6.0
@@ -94,15 +94,15 @@ _DISTINCT = TwoPhotonInput(LorentzianPulse(0.88, 0.3), LorentzianPulse(1.7, -0.4
 
 
 @pytest.mark.parametrize(
-    "inp, params, grid, include_convolution",
+    "inp, params, grid",
     [
-        (TwoPhotonInput(_TABULATED, _TABULATED), NetworkParams(1.5, 0.5), FrequencyGrid(-20.0, 20.0, 97), True),
+        (TwoPhotonInput(_TABULATED, _TABULATED), NetworkParams(1.5, 0.5), FrequencyGrid(-20.0, 20.0, 97)),
     ],
     ids=["tabulated"],
 )
-def test_probabilities_match_nxn_reference(inp, params, grid, include_convolution):
-    p = probabilities(inp, params, grid, include_convolution=include_convolution)
-    want, quad, other_err = _nxn_reference(inp, params, grid, include_convolution)
+def test_probabilities_match_nxn_reference(inp, params, grid):
+    p = probabilities(inp, params, grid)
+    want, quad, other_err = _nxn_reference(inp, params, grid)
     got = (p.p_ll, p.p_lr, p.p_rr, p.total)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (got, want)
     # Only the quadrature part of est_error changes, and never upward.
@@ -350,6 +350,14 @@ def test_sampled_pulses_need_a_grid():
         hom_scan([1.0], 2.0, tab)
 
 
+def test_sampled_pulses_keep_the_convolution_term():
+    # Only the whole-plane path of Lorentzian pairs can drop the term.
+    tab = tabulate_pulse(PULSE, FrequencyGrid(-10.0, 10.0, 81))
+    for inp in (TwoPhotonInput(tab, tab), TwoPhotonInput(tab, PULSE)):
+        with pytest.raises(ValidationError, match="convolution"):
+            probabilities(inp, NetworkParams(1.5, 0.0), GRID, include_convolution=False)
+
+
 def test_tabulated_window_too_narrow():
     # The convolution mass beyond a [-1, 1] window is bounded from its edges
     # at about 1.134e-2, above the 1e-2 that the window may leave unmodeled.
@@ -384,8 +392,6 @@ def test_schmidt_scale_invariance():
         grid1=amp.grid1,
         grid2=amp.grid2,
         values=amp.values * (3.7 - 0.2j),
-        params=amp.params,
-        input=amp.input,
         max_point_error=amp.max_point_error,
     )
     rep2 = schmidt_report(scaled)

@@ -138,10 +138,10 @@ def test_batched_lines_match_lines_run_alone():
         total += n
     assert total == evals
     lo, hi, seeds = [-2.0, 35.0, 0.0], [3.0, 50.0, 1.0], [[0.5], [40.0], [0.2]]
-    values, errors, evals = integrate_lines(f, lo, hi, seeds=seeds, tails=True)
+    values, errors, evals = integrate_lines(f, lo, hi, seeds=seeds, tails=(-1.0, 1.0))
     for i in range(3):
         alone = lorentz_pair(centres[i:])
-        v, e, n = integrate_lines(alone, lo[i], hi[i], seeds=[seeds[i]], tails=True)
+        v, e, n = integrate_lines(alone, lo[i], hi[i], seeds=[seeds[i]], tails=(-1.0, 1.0))
         np.testing.assert_allclose(v[0], values[i], rtol=1e-14, atol=0)
         assert n[0] == evals[i]
     # Windows plus tails cover the whole line: pi for the first component.
@@ -177,9 +177,9 @@ def test_vector_columns_equal_the_scalar_integral():
         return 1.0 / (1.0 + (x - line) ** 2) + 1j * np.exp(-0.5 * x**2) / (1.0 + x**2)
 
     lo, hi, seeds = [-2.0, 35.0, 0.0], [3.0, 50.0, 1.0], [[0.5], [40.0], [0.2]]
-    want, want_err, want_evals = integrate_lines(g, lo, hi, seeds=seeds, tails=True)
+    want, want_err, want_evals = integrate_lines(g, lo, hi, seeds=seeds, tails=(-1.0, 1.0))
     values, errors, evals = integrate_lines(lambda x, line: np.stack([g(x, line)] * 3), lo, hi,
-                                            seeds=seeds, tails=True)
+                                            seeds=seeds, tails=(-1.0, 1.0))
     assert values.shape == (3, 3)
     for c in range(3):
         np.testing.assert_array_equal(values[:, c], want)
@@ -309,6 +309,17 @@ def test_convolve_no_convergence_names_the_piece():
     assert partial.evaluations > 0
 
 
+@pytest.mark.parametrize(
+    "lo, hi, tails, want",
+    [(0.0, 1.0, (1.0,), math.pi / 2), (-1.0, 0.0, (-1.0,), math.pi / 2), (-1.0, 1.0, (-1.0, 1.0), math.pi)],
+    ids=["right", "left", "both"],
+)
+def test_integrate_lines_tails_on_either_side(lo, hi, tails, want):
+    # Each listed side adds its half-line: -1 below lo, +1 above hi.
+    values, _, _ = integrate_lines(lambda x, _line: 1.0 / (1.0 + x**2), lo, hi, tails=tails)
+    assert values[0] == pytest.approx(want, abs=1e-12)
+
+
 def test_integrate_lines_names_the_starved_tail():
     # Line 1 has a narrow peak beyond its window's left edge.  Its window
     # converges, and its left tail runs out of a budget of 2 subdivisions.
@@ -319,7 +330,7 @@ def test_integrate_lines_names_the_starved_tail():
 
     integrate_lines(f, [-1.0, -1.0], [1.0, 1.0], cfg)
     with pytest.raises(NoConvergence) as exc_info:
-        integrate_lines(f, [-1.0, -1.0], [1.0, 1.0], cfg, tails=True)
+        integrate_lines(f, [-1.0, -1.0], [1.0, 1.0], cfg, tails=(-1.0, 1.0))
     assert exc_info.value.node == 1
     assert "of its left tail " in str(exc_info.value)
     partial = exc_info.value.partial
