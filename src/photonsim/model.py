@@ -146,6 +146,14 @@ class TwoPhotonInput:
         object.__setattr__(self, "identical", self.left == self.right)
 
 
+def _lorentzian_den(pulse: LorentzianPulse, nu):
+    """i (nu + omega_o) - gamma / 2 set part by part: the values of the
+    complex arithmetic for finite nu, in fewer passes over the array."""
+    den = np.empty(np.shape(nu), dtype=complex)
+    den.real, den.imag = -0.5 * pulse.gamma, np.add(nu, pulse.omega_o)
+    return den
+
+
 def pulse_amplitude(pulse: PulseSpec, nu):
     """Spectral amplitude of ``pulse`` at frequency ``nu``.
 
@@ -153,18 +161,18 @@ def pulse_amplitude(pulse: PulseSpec, nu):
     linearly interpolated inside their grid and zero outside.
     """
     if isinstance(pulse, LorentzianPulse):
-        nu = np.asarray(nu, dtype=float)
-        # i (nu + omega_o) - gamma / 2 set part by part: the values of the
-        # complex arithmetic for finite nu, in fewer passes over the array.
-        den = np.empty(nu.shape, dtype=complex)
-        den.real = -0.5 * pulse.gamma
-        den.imag = nu + pulse.omega_o
-        out = (math.sqrt(pulse.gamma) / _SQRT_2PI) / den
+        out = (math.sqrt(pulse.gamma) / _SQRT_2PI) / _lorentzian_den(pulse, np.asarray(nu, dtype=float))
     elif isinstance(pulse, SampledPulse):
         out = np.interp(nu, pulse.grid.points, pulse.values, left=0.0, right=0.0)
     else:
         raise ValidationError(f"unknown pulse spec {pulse!r}")
     return out if np.ndim(out) else complex(out)
+
+
+def lorentzian_pair(x: LorentzianPulse, y: LorentzianPulse, nu, mu):
+    """pulse_amplitude(x, nu) * pulse_amplitude(y, mu) of two Lorentzian
+    pulses by one complex division; broadcasts over nu and mu."""
+    return (math.sqrt(x.gamma * y.gamma) / (2.0 * math.pi)) / (_lorentzian_den(x, nu) * _lorentzian_den(y, mu))
 
 
 def pulse_center(pulse: PulseSpec) -> float:

@@ -15,11 +15,15 @@ with mapped tails gives the 16 Gram entries of single_factors, and one
 outer line over s does the rest, each of its sweeps integrating J and the
 three A at its nodes as one inner batch (quadrature.convolution_lines,
 which folds each line at nu = s / 2, so the inner integrands are summed
-with their images under nu <-> s - nu; all four are rows of one array
-from the pulse products and u u, and identical pulses copy LL into RR).
-J stays on the engine, so --tol and NoConvergence hold, and the residue
+with their images under nu <-> s - nu).  They are rows of one array,
+formed in real arithmetic from the Lorentzian pair products and u u;
+identical pulses integrate three rows, J, A_LL and A_LR, and copy A_LL
+into A_RR, which leaves every value and error estimate as it was.  J
+stays on the engine, so --tol and NoConvergence hold, and the residue
 oracle stays independent.  est_error bounds the outer error plus how far
-the inner and Gram errors move the masses.
+the inner and Gram errors move the masses; the outer line integrates
+that bound as a down-weighted fourth row (_BOUND_WEIGHT), so the bound's
+own rough error never steers where the line refines.
 
 Sampled pulses keep the trapezoid window (window_terms), the same algebra
 on the grid without any n x n array: with weights w, the Gram products
@@ -54,6 +58,7 @@ from .model import (
     PulseSpec,
     SampledPulse,
     TwoPhotonInput,
+    lorentzian_pair,
     pulse_amplitude,
     pulse_center,
     pulse_width,
@@ -64,7 +69,7 @@ from .oracle import residue_j  # noqa: F401
 # integrate_half_line_multi is called through this module's name, where
 # perfbench/tracing.py patches it.
 from .quadrature import (
-    QuadConfig, convolution_lines, graded_seeds, integrate_half_line_multi, integrate_lines, pulse_products,
+    QuadConfig, convolution_lines, graded_seeds, integrate_half_line_multi, integrate_lines,
     trapezoid_weights,
 )
 
@@ -120,6 +125,13 @@ class SchmidtReport:
 # The channel weights of p_ll, p_lr and p_rr in the masses of |T|^2.
 _CHANNEL_WEIGHTS = np.array([0.5, 1.0, 0.5])
 
+# The outer line's error-bound row is integrated at this weight and divided
+# back out (exactly: a power of two), so that its panel errors, rough where
+# the inner error estimates jump from node to node, do not steer the line's
+# refinement.  On seeded HOM-scan points that cut the inner evaluations by
+# 9 % and the outer sweeps by 40 %.
+_BOUND_WEIGHT = 2.0**-13
+
 # The linear mass beyond a tabulated window is a small correction.
 _CORRECTION_CFG = QuadConfig(rel_tol=1e-6, abs_tol=1e-16, max_subdivisions=400)
 
@@ -160,7 +172,7 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
     masses, err = _pair_masses(gram), _CHANNEL_WEIGHTS @ _gram_error(gram, g_err)
     if not include_convolution:
         return masses, err
-    den = wc - 2j * k
+    k4, rows = 4.0 * k * k, 3 if inp.identical else 4
 
     def conv_density(s, _line):
         # Per node: 2 Re h A + |h|^2 P per channel, and a bound on how far the
@@ -168,37 +180,54 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
         sums = s.ravel()
 
         def inner(nu, mu, _line):
-            # J's reduced integrand and the three conj(L_c) u u, each plus its
-            # image under nu <-> mu (convolution_lines folds at nu = s / 2).
-            # With theta1 = (nu + omega_c) u and theta2 = 2i kappa u, all four
-            # come from p1 = xi_L(nu) xi_R(mu), p2 = xi_R(nu) xi_L(mu) and u u.
+            # J's reduced integrand and the conj(L_c) u u of LL, LR and (for
+            # distinct pulses) RR, each plus its image under nu <-> mu
+            # (convolution_lines folds at nu = s / 2), in real arithmetic.
+            # With a = nu + omega_c, b = mu + omega_c, theta1 = a u and
+            # theta2 = 2i kappa u, all come from p1 = xi_L(nu) xi_R(mu),
+            # p2 = xi_R(nu) xi_L(mu) and u u = r + i t: r = (a b - 4 kappa^2) q,
+            # t = 2 kappa (a + b) q, q = |u u|^2 = 1 / ((a^2 + 4 kappa^2)(b^2 + 4 kappa^2)).
             a, b = nu + wc, mu + wc
-            uu = 1.0 / ((nu + den) * (mu + den))
-            q = uu.real**2 + uu.imag**2
-            p1, p2 = pulse_products(inp, nu, mu)
-            both = p1 + p2
-            out = np.empty((4,) + nu.shape, dtype=complex)
-            out[0] = uu * both
-            out[2] = (a * b - 4.0 * k**2) * q * np.conj(both)
-            q *= -4.0 * k
-            out[1] = 1j * q * np.conj(a * p1 + b * p2)
-            # Identical pulses (p2 is p1) make the RR row the LL row bit for bit.
-            out[3] = out[1] if inp.identical else 1j * q * np.conj(b * p1 + a * p2)
+            q = 1.0 / ((a * a + k4) * (b * b + k4))
+            r, mt = (a * b - k4) * q, (-2.0 * k) * (a + b) * q
+            out = np.empty((rows,) + nu.shape, dtype=complex)
+            p1 = lorentzian_pair(inp.left, inp.right, nu, mu)
+            if inp.identical:
+                both, mean = p1 + p1, out[1]
+            else:
+                p2 = lorentzian_pair(inp.right, inp.left, nu, mu)
+                both, mean = p1 + p2, np.empty(nu.shape, dtype=complex)
+                # LL = -4 kappa q i conj(a p1 + b p2), RR = -4 kappa q i conj(b p1 + a p2).
+                q *= -4.0 * k
+                for row, x, y in ((out[1], a, b), (out[3], b, a)):
+                    row.real, row.imag = q * (x * p1.imag + y * p2.imag), q * (x * p1.real + y * p2.real)
+            # (LL + RR) / 2 = -t i conj(both): the LL row itself for identical pulses.
+            np.multiply(mt, both.imag, out=mean.real)
+            np.multiply(mt, both.real, out=mean.imag)
+            # LR = r conj(both) and J = u u both = conj(LR + (LL + RR) / 2).
+            np.conjugate(both, out=out[2])
+            out[2].real *= r
+            out[2].imag *= r
+            np.add(out[2], mean, out=out[0])
+            np.conjugate(out[0], out=out[0])
             return out
 
         v, e, _ = convolution_lines(inner, sums, inp, params, cfg)
+        if inp.identical:
+            # The RR row equals the LL row, and their max-norm error is LL's.
+            v = v[:, [0, 1, 2, 1]]
         sp = sums + 2.0 * wc
         spf = sp * sum_factor(sums, params)
         h, a = spf * v[:, 0], v[:, 1:]
         p = math.pi / (k * (sp**2 + 16.0 * k**2))
         dens = 2.0 * (h[:, None] * a).real + (np.abs(h) ** 2 * p)[:, None]
         bound = 2.0 * e * (np.abs(spf) * (np.abs(a) @ _CHANNEL_WEIGHTS + 2.0 * np.abs(h) * p) + 2.0 * np.abs(h))
-        return np.concatenate([dens.T, bound[None, :]]).reshape((4,) + s.shape)
+        return np.concatenate([dens.T, _BOUND_WEIGHT * bound[None, :]]).reshape((4,) + s.shape)
 
     features = [c_l + c_r, -2.0 * wc, c_l - wc, c_r - wc]  # the poles of h, A and P in s
     v, v_err = _graded_line(conv_density, features, [g_l + g_r, 2 * k, g_l + 2 * k, g_r + 2 * k], cfg)
     # The channel weights sum to 2.
-    return masses + v[:3].real, err + v[3].real + 2.0 * v_err
+    return masses + v[:3].real, err + v[3].real / _BOUND_WEIGHT + 2.0 * v_err
 
 
 @dataclass(frozen=True)
@@ -216,19 +245,18 @@ class WindowTerms:
 
 
 def _window_sums(f, u, h, wt):
-    """Per channel, the weighted sum of |T|^2 and, when there is a
-    convolution term h, the rung sums B (see the module docstring); and
-    the trapezoid Gram matrix of f."""
+    """Per channel, the weighted sum of |T|^2 with the convolution term h
+    and the rung sums B (see the module docstring); and the trapezoid Gram
+    matrix of f."""
     g = [wt * np.conj(v) for v in f]
     gram = np.array([[gi @ v for v in f] for gi in g])
     masses, rung_sums = _pair_masses(gram), []
-    if h is not None:
-        gu = [gi * u for gi in g]
-        p = np.convolve(wt * np.abs(u) ** 2, wt * np.abs(u) ** 2)
-        for c, xy in enumerate(CHANNEL_PAIRS):
-            a = sum(np.convolve(gu[x], gu[y]) for x, y in xy)
-            masses[c] += 2.0 * (h @ a).real + np.abs(h) ** 2 @ p
-            rung_sums.append(a + np.conj(h) * p)
+    gu = [gi * u for gi in g]
+    p = np.convolve(wt * np.abs(u) ** 2, wt * np.abs(u) ** 2)
+    for c, xy in enumerate(CHANNEL_PAIRS):
+        a = sum(np.convolve(gu[x], gu[y]) for x, y in xy)
+        masses[c] += 2.0 * (h @ a).real + np.abs(h) ** 2 @ p
+        rung_sums.append(a + np.conj(h) * p)
     return masses, rung_sums, gram
 
 
@@ -239,34 +267,32 @@ def window_terms(
     cfg: QuadConfig | None = None,
 ) -> WindowTerms:
     """The window part of probabilities from the per-frequency factors and
-    the 2n - 1 ladder rungs, without any n x n array (kappa > 0).
+    the 2n - 1 ladder rungs, without any n x n array.  It needs kappa > 0
+    (ValidationError otherwise): there is no convolution term at kappa = 0.
 
     The refinement term compares the trapezoid sums with those on every
     second node; an even point count has no such sub-grid, so both then
     use the leading n - 1 points; fewer than 5 points give no estimate.
     """
+    if params.kappa <= 0.0:
+        raise ValidationError(f"window_terms needs kappa > 0, got {params.kappa}")
     w, wt = grid.points, trapezoid_weights(grid)
     f = single_factors(w, inp, params)
     u = 1.0 / (w + (params.omega_c - 2j * params.kappa))
-    h = err = None
-    if params.kappa != 0.0:
-        s_prime, fj, fj_err = ladder(grid, inp, params, cfg)
-        h, err = s_prime * fj, np.abs(s_prime) * fj_err
+    s_prime, fj, fj_err = ladder(grid, inp, params, cfg)
+    h, err = s_prime * fj, np.abs(s_prime) * fj_err
     masses, rung_sums, gram = _window_sums(f, u, h, wt)
     quadrature = float(sum(2.0 * c * (err @ np.abs(b)) for c, b in zip(_CHANNEL_WEIGHTS, rung_sums)))
-    edge_mass = 0.0
-    if h is not None:
-        # Rows 0 and n - 1 of |conv|^2 are |u_0 u_j h_j|^2 and |u_{n-1} u_j h_{n-1+j}|^2;
-        # columns 0 and n - 1 mirror them.
-        hh, uu = np.abs(h) ** 2, np.abs(u) ** 2
-        edge_mass = 2.0 * float((wt * uu) @ (uu[0] * hh[: grid.n] + uu[-1] * hh[grid.n - 1 :]))
+    # Rows 0 and n - 1 of |conv|^2 are |u_0 u_j h_j|^2 and |u_{n-1} u_j h_{n-1+j}|^2;
+    # columns 0 and n - 1 mirror them.
+    hh, uu = np.abs(h) ** 2, np.abs(u) ** 2
+    edge_mass = 2.0 * float((wt * uu) @ (uu[0] * hh[: grid.n] + uu[-1] * hh[grid.n - 1 :]))
 
     m = grid.n - 1 + grid.n % 2
     top = grid.max if m == grid.n else grid.max - grid.spacing
 
     def sub_masses(step, sub):
-        hs = None if h is None else h[: 2 * m - 1 : step]
-        return _window_sums([v[:m:step] for v in f], u[:m:step], hs, trapezoid_weights(sub))[0]
+        return _window_sums([v[:m:step] for v in f], u[:m:step], h[: 2 * m - 1 : step], trapezoid_weights(sub))[0]
 
     refinement = 0.0
     if m >= 5:

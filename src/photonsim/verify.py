@@ -195,10 +195,8 @@ def grid_window_reference(inp, params, grid) -> WindowTerms:
         return integrate_grid_2d(values[cut, cut], g, g).real
 
     refinement = sum(abs(trapezoid(d, fine) - trapezoid(d, sub, 2)) / 3.0 for d in dens) if m >= 5 else 0.0
-    edge_mass = 0.0
-    if ga.conv is not None:
-        c2 = np.abs(ga.conv) ** 2
-        edge_mass = float(trapezoid_weights(grid) @ (c2[0] + c2[-1] + c2[:, 0] + c2[:, -1]))
+    c2 = np.abs(ga.conv) ** 2
+    edge_mass = float(trapezoid_weights(grid) @ (c2[0] + c2[-1] + c2[:, 0] + c2[:, -1]))
     weight = 2.0 * (0.5 * absolute[0] + absolute[1] + 0.5 * absolute[2])
     masses = tuple(trapezoid(d, grid) for d in dens)
     return WindowTerms(masses, refinement, trapezoid(weight * ga.point_err, grid), edge_mass)

@@ -15,6 +15,7 @@ from photonsim.model import (
     SampledPulse,
     TwoPhotonInput,
     load_sampled_pulse,
+    lorentzian_pair,
     make_sampled_pulse,
     pulse_amplitude,
     pulse_tail_mass,
@@ -343,3 +344,21 @@ def test_two_photon_input_identical_flag():
     s3 = SampledPulse(grid, np.array([1, 2, 2], dtype=complex))
     assert TwoPhotonInput(s1, s2).identical
     assert not TwoPhotonInput(s1, s3).identical
+
+
+_GAMMAS, _CENTRES = st.floats(1e-3, 1e3), st.floats(-100.0, 100.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    x=st.builds(LorentzianPulse, _GAMMAS, _CENTRES),
+    y=st.builds(LorentzianPulse, _GAMMAS, _CENTRES),
+    nu=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+    mu=st.floats(-1e6, 1e6),
+)
+def test_lorentzian_pair_is_the_product_of_amplitudes(x, y, nu, mu):
+    nu = np.array(nu)
+    want = pulse_amplitude(x, nu) * pulse_amplitude(y, mu)
+    got = lorentzian_pair(x, y, nu, mu)
+    assert got.shape == nu.shape
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.abs(want))

@@ -152,18 +152,12 @@ def test_folded_lines_keep_distinct_centre_probabilities(params, unfolded):
     assert abs(p.total - 1.0) <= 1e-12
 
 
-# Inner evaluations of the whole-plane probabilities with convolution lines
-# over the whole real line (before the fold at nu = s / 2).
-@pytest.mark.parametrize(
-    "inp, params, unfolded_evals",
-    [
-        (IDENTICAL, NetworkParams(1.5, 0.0), 402_720),
-        (TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8)), NetworkParams(0.7, -1.3), 660_705),
-    ],
-    ids=["identical", "distinct-widths"],
-)
-def test_folded_lines_cut_inner_evaluations(monkeypatch, inp, params, unfolded_evals):
-    # Evaluation counts are deterministic, so unlike a timing this cannot flake.
+_DISTINCT_WIDTHS = TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))
+
+
+def _inner_evaluations(monkeypatch, inp, params):
+    """Integrand evaluations of the whole-plane probabilities' inner lines.
+    They are deterministic, so unlike a timing a guard on them cannot flake."""
     evals = []
 
     def counted(*args):
@@ -172,16 +166,57 @@ def test_folded_lines_cut_inner_evaluations(monkeypatch, inp, params, unfolded_e
         return out
 
     monkeypatch.setattr(photonsim.observables, "convolution_lines", counted)
-    probabilities(inp, params, GRID)
-    assert evals and sum(evals) <= 0.6 * unfolded_evals
+    probabilities(inp, params)
+    assert evals
+    return sum(evals)
+
+
+# Inner evaluations of the whole-plane probabilities with convolution lines
+# over the whole real line (before the fold at nu = s / 2).
+@pytest.mark.parametrize(
+    "inp, params, unfolded_evals",
+    [
+        (IDENTICAL, NetworkParams(1.5, 0.0), 402_720),
+        (_DISTINCT_WIDTHS, NetworkParams(0.7, -1.3), 660_705),
+    ],
+    ids=["identical", "distinct-widths"],
+)
+def test_folded_lines_cut_inner_evaluations(monkeypatch, inp, params, unfolded_evals):
+    assert _inner_evaluations(monkeypatch, inp, params) <= 0.6 * unfolded_evals
+
+
+# Inner evaluations of the whole-plane probabilities while the outer line's
+# error-bound row still steered its refinement, at full weight.
+@pytest.mark.parametrize(
+    "inp, params, steered_evals",
+    [
+        (IDENTICAL, NetworkParams(1.5, 0.0), 197_070),
+        (IDENTICAL, NetworkParams(1.5, 3.0), 342_765),
+        (_DISTINCT_WIDTHS, NetworkParams(0.7, -1.3), 306_105),
+    ],
+    ids=["identical", "identical-detuned", "distinct-widths"],
+)
+def test_error_bound_row_does_not_steer_the_outer_line(monkeypatch, inp, params, steered_evals):
+    assert _inner_evaluations(monkeypatch, inp, params) < steered_evals
+
+
+@pytest.mark.parametrize(
+    "params", [NetworkParams(1.5, 0.0), NetworkParams(0.25, 0.5), NetworkParams(7.0, -20.0)],
+    ids=["1.5-0", "0.25-0.5", "7-(-20)"],
+)
+def test_identical_pulses_give_p_ll_equal_to_p_rr_bit_for_bit(params):
+    p = probabilities(TwoPhotonInput(LorentzianPulse(0.8, 0.3), LorentzianPulse(0.8, 0.3)), params)
+    assert p.p_ll == p.p_rr
 
 
 # Exact P_LR for identical gamma = 1 pulses, confirmed independently of
-# this code; Richardson extrapolation of the grid path meets them to 1.3e-10.
+# this code; Richardson extrapolation of the grid path met the first three
+# to 1.3e-10.
 @pytest.mark.parametrize(
     "kappa, omega_c, exact",
-    [(1.5, 0.0, 5 / 7), (1.0, 2.0, 61 / 325), (0.5, 1.0, 107 / 377)],
-    ids=["5-7", "61-325", "107-377"],
+    [(1.5, 0.0, 5 / 7), (1.0, 2.0, 61 / 325), (0.5, 1.0, 107 / 377), (0.25, 0.5, 439 / 1105),
+     (1.5, 3.0, 157 / 1105)],
+    ids=["5-7", "61-325", "107-377", "439-1105", "157-1105"],
 )
 @pytest.mark.parametrize("tol", [None, 1e-6], ids=["default-tol", "tol-1e-6"])
 def test_p_lr_matches_exact_values(kappa, omega_c, exact, tol):
@@ -283,6 +318,11 @@ def test_quadrature_term_sums_ladder_errors_per_rung():
     got = window_terms(_DISTINCT, params, grid).quadrature
     assert got == pytest.approx(want, rel=1e-12)
     assert got <= grid_window_reference(_DISTINCT, params, grid).quadrature
+
+
+def test_window_terms_need_a_positive_kappa():
+    with pytest.raises(ValidationError, match="kappa > 0"):
+        window_terms(IDENTICAL, NetworkParams(0.0, 1.0), GRID)
 
 
 def test_distinct_pulse_conservation():
