@@ -2,13 +2,14 @@
 
 Subcommands: single | amplitudes | probabilities | hom | schmidt | verify.
 Outputs are deterministic: identical flags produce byte-identical files
-(no timestamps, fixed float formatting with 17 significant digits).  The
-CSV writer formats a whole grid row per % call; the JSON writer writes
-what json.dumps(obj, indent=2, sort_keys=True) does, but encodes each
-list of numbers in one call to json's C encoder.
+(no timestamps, fixed float formatting with 17 significant digits).  Both
+writers take float arrays and format each distinct double once
+(`_doubles`), reusing its text wherever the value recurs; the JSON writer
+writes what json.dumps(obj, indent=2, sort_keys=True) does.
 Exit codes: 0 success, 2 validation error (also a --config file that is
-not a JSON object or holds a value its flag could not take), 3 quadrature
-non-convergence (verify exits 1 when a check fails).
+not a JSON object or holds a value its flag could not take, and a
+--format the command does not write), 3 quadrature non-convergence
+(verify exits 1 when a check fails).
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ from .quadrature import QuadConfig
 from .verify import run_verify
 
 
-def _csv_lines(values: list, width: int) -> str:
-    """Lines of `width` comma-separated values from one flat list, each value
-    in 17 significant digits, formatted by one % call.  For a Python float
-    "%.17g" % x is byte-equal to format(x, ".17g")."""
-    return (",".join(["%.17g"] * width) + "\n") * (len(values) // width) % tuple(values)
+def _doubles(a: np.ndarray, spec: str) -> np.ndarray:
+    """`spec` % x for each entry x of the float array `a`, as an object array
+    of `a`'s shape.  Each distinct double (each 64-bit pattern, so -0.0 and
+    0.0 stay apart, as do NaN payloads) is formatted once, all of them by one
+    % call, and its text reused wherever it appears: a map's grid columns hold
+    n distinct values, and most entries of a same-channel or identical-pulse
+    map equal their mirror image."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, index = np.unique(a.view(np.int64), return_inverse=True)
+    texts = ((spec + "\n") * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    return np.array(texts, dtype=object)[index].reshape(a.shape)
 
 
 # Types whose JSON text never holds ', '.
@@ -59,12 +66,14 @@ _JSON_NUMBERS = {float, int, bool, type(None)}
 
 
 def _json_dumps(obj) -> str:
-    """What json.dumps(obj, indent=2, sort_keys=True) writes, plus a newline.
+    """What json.dumps(obj, indent=2, sort_keys=True) writes, plus a newline,
+    where a float ndarray stands for its tolist().
 
     That call runs json's pure-Python encoder value by value.  Here a list
     of numbers goes through json's C encoder in one call, and the newline
     and indent are spliced in after each ', ', which no number contains;
-    floats take float.__repr__ on both paths.  Dict keys are strings.
+    a float array's entries are formatted by `_doubles`.  Floats take
+    float.__repr__ on all paths.  Dict keys are strings.
     """
     return _json_text(obj, "\n") + "\n"
 
@@ -72,6 +81,15 @@ def _json_dumps(obj) -> str:
 def _json_text(obj, pad: str) -> str:
     """`obj` as indented JSON; `pad` is the newline and indent of its level."""
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != object:
+            # No finite repr holds an "n": name the non-finite values as json does.
+            text = _json_text(_doubles(obj, "%r"), pad)
+            return text.replace("nan", "NaN").replace("inf", "Infinity")
+        if not len(obj):
+            return "[]"
+        items = obj.tolist() if obj.ndim == 1 else [_json_text(row, inner) for row in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict) and obj:
         items = (json.dumps(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -169,18 +187,23 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(ns, extra: dict, header: str, blocks) -> None:
+def _write_csv(ns, extra: dict, header: str, table: np.ndarray) -> None:
     """Write a CSV result: '# key = value' lines for the package version,
-    the run's flags and `extra`, the column header, then the rows.  They
-    come in blocks (one per grid row for a map), each a flat list of
-    numbers, row after row, formatted by `_csv_lines`."""
+    the run's flags and `extra`, the column header, then one line per row
+    of the float `table`, each value as format(x, ".17g") writes it."""
     lines = [f"# photonsim {__version__}"]
     lines += [f"# {k} = {ns[k]}" for k in sorted(ns) if k not in _RUN_FLAGS]
     lines += [f"# {k} = {v}" for k, v in extra.items()]
     lines.append(header)
-    width = header.count(",") + 1
-    body = "".join(_csv_lines(block, width) for block in blocks)
+    rows, width = table.shape
+    body = ("%s," * (width - 1) + "%s\n") * rows % tuple(_doubles(table, "%.17g").flat)
     _write_output("\n".join(lines) + "\n" + body, ns["output"])
+
+
+def _abs2(z: np.ndarray) -> list:
+    """|v|² for each entry of `z`, as abs() of a Python complex squared; the
+    vectorised np.abs differs from it in the last bit."""
+    return [abs(v) ** 2 for v in z.ravel().tolist()]
 
 
 def _write_json(ns, payload: dict) -> None:
@@ -193,15 +216,10 @@ def cmd_single(ns) -> int:
     out = single_photon_output(pulse, grid, params)
     p_left, p_right = single_photon_probabilities(pulse, params, grid, cfg)
     norm = single_photon_norm(pulse, params, cfg)
-    # abs() of a Python complex, as numpy's scalar abs gives; the vectorised
-    # np.abs differs from both in the last bit.
-    values = [
-        x
-        for nu, el, er in zip(grid.points.tolist(), out.eta_l.tolist(), out.eta_r.tolist())
-        for x in (nu, el.real, el.imag, er.real, er.imag, abs(el) ** 2, abs(er) ** 2)
-    ]
+    el, er = out.eta_l, out.eta_r
+    columns = [grid.points, el.real, el.imag, er.real, er.imag, _abs2(el), _abs2(er)]
     header = "nu,eta_l_re,eta_l_im,eta_r_re,eta_r_im,abs2_l,abs2_r"
-    _write_csv(ns, {"norm": "%.17g" % norm}, header, [values])
+    _write_csv(ns, {"norm": "%.17g" % norm}, header, np.column_stack(columns))
     summary = {"p_left": p_left, "p_right": p_right, "norm": norm, **_param_fields(params)}
     sys.stdout.write(_json_dumps(summary))
     return 0
@@ -216,19 +234,17 @@ def cmd_amplitudes(ns) -> int:
             "grid": {"min": grid.min, "max": grid.max, "n": grid.n},
             "params": _param_fields(params),
             "max_point_error": amp.max_point_error,
-            "re": amp.values.real.tolist(),
-            "im": amp.values.imag.tolist(),
+            "re": amp.values.real,
+            "im": amp.values.imag,
         }
         _write_json(ns, payload)
         return 0
-    points = grid.points.tolist()
-    # One block per grid row; abs() of a Python complex, as in cmd_single.
-    blocks = (
-        [x for w2, v in zip(points, row.tolist()) for x in (w1, w2, v.real, v.imag, abs(v) ** 2)]
-        for w1, row in zip(points, amp.values)
-    )
+    # Row-major: omega1 is the row's grid point, omega2 the column's.
+    values, points = amp.values.ravel(), grid.points
+    table = np.column_stack([np.repeat(points, grid.n), np.tile(points, grid.n),
+                             values.real, values.imag, _abs2(values)])
     extra = {"max_point_error": "%.17g" % amp.max_point_error}
-    _write_csv(ns, extra, "omega1,omega2,re,im,abs2", blocks)
+    _write_csv(ns, extra, "omega1,omega2,re,im,abs2", table)
     return 0
 
 
@@ -254,8 +270,8 @@ def cmd_hom(ns) -> int:
     kappas = _parse_kappas(ns["kappas"])
     inp, _, grid, cfg = _setup(ns)
     rows = hom_scan(kappas, float(ns["ratio"]), inp.left, grid, cfg)
-    values = [x for r in rows for x in (r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr)]
-    _write_csv(ns, {"grid_used": uses_grid(inp)}, "kappa,omega_c,p_lr,p_ll,p_rr", [values])
+    table = np.array([(r.kappa, r.omega_c, r.p_lr, r.p_ll, r.p_rr) for r in rows])
+    _write_csv(ns, {"grid_used": uses_grid(inp)}, "kappa,omega_c,p_lr,p_ll,p_rr", table)
     return 0
 
 
@@ -340,6 +356,8 @@ class _Command(NamedTuple):
     # The command's own flags, in --help order, with their values when
     # neither a flag nor the --config file sets them.
     defaults: dict
+    # The --format values it writes, its default first.
+    formats: tuple = ("csv",)
 
 
 _COMMANDS = {
@@ -348,17 +366,22 @@ _COMMANDS = {
         cmd_single,
         {**_PULSE, "kappa": 1.0, "omega_c": 0.0, "pulse_csv": None, "grid": None},
     ),
-    "amplitudes": _Command("joint spectral amplitude grid", cmd_amplitudes, _MAP),
-    "schmidt": _Command("spectral entanglement report", cmd_schmidt, _MAP),
+    "amplitudes": _Command("joint spectral amplitude grid", cmd_amplitudes, _MAP, ("csv", "json")),
+    "schmidt": _Command("spectral entanglement report", cmd_schmidt, _MAP, ("json",)),
     "probabilities": _Command(
-        "output-channel probabilities", cmd_probabilities, {**_PAIR, "grid": "-40:40:801"}
+        "output-channel probabilities",
+        cmd_probabilities,
+        {**_PAIR, "grid": "-40:40:801"},
+        ("json",),
     ),
     "hom": _Command(
         "coincidence scan over coupling strengths",
         cmd_hom,
         {"kappas": "0.5,1,2,5,10,20", "ratio": 2.0, **_PULSE, "grid": "-40:40:801"},
     ),
-    "verify": _Command("run the oracle and invariant check suite", cmd_verify, {"quick": False}),
+    "verify": _Command(
+        "run the oracle and invariant check suite", cmd_verify, {"quick": False}, ("json",)
+    ),
 }
 
 
@@ -463,16 +486,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_join_negative_values(argv))
+    command = _COMMANDS[args.command]
     try:
+        fmt = args.format or command.formats[0]
+        if fmt not in command.formats:
+            raise ValidationError(f"{args.command} writes {'/'.join(command.formats)}, not {fmt}")
         ns = _resolve(args)
         if args.save_config:
             saved = _json_dumps({**ns, "command": args.command})
             Path(args.save_config).write_text(saved, encoding="utf-8")
-        ns.update(output=args.output, format=args.format or "csv")
+        ns.update(output=args.output, format=fmt)
         # An overflow means the parameters exceed double precision: stop at
         # once, rather than let inf and NaN run through the quadrature.
         with np.errstate(over="raise"):
-            return _COMMANDS[args.command].run(ns)
+            return command.run(ns)
     except NoConvergence as exc:
         node = f" at node {exc.node}" if getattr(exc, "node", None) is not None else ""
         print(f"error: quadrature did not converge{node}: {exc}", file=sys.stderr)

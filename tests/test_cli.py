@@ -1,10 +1,13 @@
 """Integration tests for the command-line interface: determinism, exit
 codes, config round trips, and output schemas."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import re
+import struct
 import sys
 import time
 from pathlib import Path
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import photonsim.amplitudes
 import photonsim.cli
@@ -93,6 +97,11 @@ BYTE_CALLS = {
                            "--format", "json"],
     "amplitudes-lr-json": ["amplitudes", "--channel", "lr", *PAIR, "--grid", "-3:3:7",
                            "--format", "json"],
+    # An identical-pulse map at the default grid's size, which repeats many values.
+    "amplitudes-lr-121-csv": ["amplitudes", "--channel", "lr", "--gamma", "1", "--kappa", "1.5",
+                              "--grid", "-6:6:121"],
+    "amplitudes-lr-121-json": ["amplitudes", "--channel", "lr", "--gamma", "1", "--kappa", "1.5",
+                               "--grid", "-6:6:121", "--format", "json"],
     "single": ["single", "--gamma", "0.9", "--kappa", "1.2", "--omega-c", "0.4",
                "--grid", "-100:100:201"],
     "single-pulse-csv": ["single", "--pulse-csv", "left.csv", "--kappa", "0.7",
@@ -126,6 +135,15 @@ PINNED_BYTES = {
     },
     "amplitudes-lr-json": {
         "out": "0788723fe4861f9e8cb5791cb11b06ec",
+        "stdout": EMPTY,
+    },
+    # Recorded before the writers formatted each distinct double once.
+    "amplitudes-lr-121-csv": {
+        "out": "6d2b58b1488855c63b811e573f349ceb",
+        "stdout": EMPTY,
+    },
+    "amplitudes-lr-121-json": {
+        "out": "2f66335922169c4da27e850d8c7b2d6c",
         "stdout": EMPTY,
     },
     "single": {
@@ -194,18 +212,42 @@ FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 ANY_FLOAT = st.one_of(FLOATS, FLOATS.map(np.float64))
 
 
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# NaNs of both signs and of three payloads, which the writers' search for
+# distinct doubles keeps apart, next to both zeros and repeated values.
+NANS = [_double(0x7FF8000000000000), _double(0xFFF8000000000000),
+        _double(0x7FF8000000000001), _double(0xFFF80000DEADBEEF)]
+REPEATS = [[0.0, -0.0, NANS[0], 1.5], [NANS[1], 1.5, -0.0, NANS[2]],
+           [NANS[3], 0.0, 0.0, -0.0], [1.5, NANS[0], NANS[3], -0.0]]
+
+
+def _csv_body(table) -> str:
+    """The rows `cli._write_csv` writes for `table`, after its header line."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        photonsim.cli._write_csv({"output": None}, {}, "header", table)
+    return out.getvalue().split("header\n", 1)[1]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(
     lambda width: st.lists(st.lists(ANY_FLOAT, min_size=width, max_size=width), max_size=6)
     .map(lambda rows: (width, rows))))
 @example((len(EDGE_FLOATS), [EDGE_FLOATS, EDGE_FLOATS[::-1]]))
-def test_csv_lines_format_each_value_as_format_17g(case):
+@example((4, REPEATS))
+def test_csv_table_formats_each_value_as_format_17g(case):
     width, rows = case
     want = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
-    assert photonsim.cli._csv_lines([x for row in rows for x in row], width) == want
+    assert _csv_body(np.array(rows, dtype=float).reshape(len(rows), width)) == want
 
 
-JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), ANY_FLOAT, st.text(max_size=12))
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+    elements=st.one_of(st.sampled_from(EDGE_FLOATS + NANS), st.floats()))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), ANY_FLOAT, st.text(max_size=12),
+                        FLOAT_ARRAYS)
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
     lambda inner: st.one_of(st.lists(inner, max_size=6),
@@ -219,8 +261,19 @@ JSON_VALUES = st.recursive(
 @example({"": {}, "e": [], "q\"\\/\n\t\x00\u00e9\u4e2d\U0001f600": ["a, b", "\u2028", -0.0],
           "n": [None, True, False, 3, -7, 2**70, [1.5, [float("nan")], []], {"z": [], "a": {}}],
           "f": EDGE_FLOATS, "nested": [[1.0, 2.0], [float("inf"), -5e-324]]})
+@example({"a": np.array(EDGE_FLOATS), "m": np.array(REPEATS), "e": np.zeros(0),
+          "rows": np.zeros((2, 0)), "cols": np.zeros((0, 3)),
+          "l": [np.array([[float("-inf"), -0.0], [1e300, 1e-7]]), np.array([2.5])]})
 def test_json_dumps_matches_indented_sorted_json(obj):
-    assert photonsim.cli._json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [plain(v) for v in x]
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    want = json.dumps(plain(obj), indent=2, sort_keys=True) + "\n"
+    assert photonsim.cli._json_dumps(obj) == want
 
 
 def test_probabilities_pass_through(capsys):
@@ -574,6 +627,26 @@ def test_help_lists_each_commands_flags(capsys, command):
     want = ["-h", *HELP_FLAGS[command].split(),
             "--config", "--save-config", "--output", "--format", "--threads", "--tol"]
     assert re.findall(r"\[(-[-a-z]+)", usage) == want
+
+
+@pytest.mark.parametrize("argv", [["hom", "--format", "json"], ["probabilities", "--format", "csv"],
+                                  ["schmidt", "--format", "csv"], ["single", "--format", "json"],
+                                  ["verify", "--quick", "--format", "csv"]])
+def test_format_the_command_does_not_write_exits_2(tmp_path, capsys, argv):
+    # Rejected before anything runs or is written, the saved config included.
+    flags = ["--output", str(tmp_path / "out"), "--save-config", str(tmp_path / "run.json")]
+    code, out, err = _outcome(capsys, [*argv, *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[0]} writes ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["hom", "--kappas", "1", "--format", "csv"],
+                                  ["probabilities", "--format", "json"],
+                                  ["schmidt", "--grid", "-3:3:9", "--format", "json"],
+                                  ["single", "--format", "csv"]])
+def test_format_the_command_writes_is_its_default(capsys, argv):
+    assert _outcome(capsys, argv) == _outcome(capsys, argv[:-2])
 
 
 def test_verify_quick_passes(tmp_path):
