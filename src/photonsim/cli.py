@@ -3,9 +3,10 @@
 Subcommands: single | amplitudes | probabilities | hom | schmidt | verify.
 Outputs are deterministic: identical flags produce byte-identical files
 (no timestamps, fixed float formatting with 17 significant digits).  Both
-writers take float arrays and format each distinct double once
-(`_doubles`), reusing its text wherever the value recurs; the JSON writer
-writes what json.dumps(obj, indent=2, sort_keys=True) does.
+writers format each distinct double once: the CSV writer makes format(x,
+".17g") in numpy (`_records`), with Python's % for values it cannot decide,
+and the JSON writer writes json.dumps(obj, indent=2, sort_keys=True), floats
+by repr (`_doubles`).  `single` with no --output writes its summary to stderr.
 Exit codes: 0 success, 2 validation error (also a --config file that is
 not a JSON object or holds a value its flag could not take, and a
 --format the command does not write), 3 quadrature non-convergence
@@ -15,6 +16,7 @@ not a JSON object or holds a value its flag could not take, and a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -48,17 +50,112 @@ from .quadrature import QuadConfig
 from .verify import run_verify
 
 
-def _doubles(a: np.ndarray, spec: str) -> np.ndarray:
-    """`spec` % x for each entry x of the float array `a`, as an object array
-    of `a`'s shape.  Each distinct double (each 64-bit pattern, so -0.0 and
-    0.0 stay apart, as do NaN payloads) is formatted once, all of them by one
-    % call, and its text reused wherever it appears: a map's grid columns hold
-    n distinct values, and most entries of a same-channel or identical-pulse
-    map equal their mirror image."""
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct 64-bit patterns of the float array `a` (-0.0 and 0.0
+    apart, NaN payloads apart) as doubles, and each entry's index among them
+    in `a`'s shape: the writers format a value once, however often it recurs."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     bits, index = np.unique(a.view(np.int64), return_inverse=True)
-    texts = ((spec + "\n") * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
-    return np.array(texts, dtype=object)[index].reshape(a.shape)
+    return bits.view(np.float64), index.reshape(a.shape)
+
+
+def _doubles(a: np.ndarray) -> np.ndarray:
+    """repr(x) for each entry x of the float array `a`, as an object array."""
+    values, index = _distinct(a)
+    texts = ("%r\n" * len(values) % tuple(values.tolist())).split("\n")
+    return np.array(texts, dtype=object)[index]
+
+
+# A CSV value's record: its format(x, ".17g") text, NUL-padded, in slots of 1,
+# 5, 18, 5 and 1 bytes: sign, '0.000', digits and point, 'e-123', delimiter.
+_WIDTH = 30
+_BLOCK = 8192
+
+
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Built on the first CSV write, for k in -300..300 at index k + 300:
+    10**k as correctly rounded doubles hi + lo, and the record at decimal
+    exponent k that holds only what %g writes before and after the digits."""
+    hi, lo, affixes = [], [], []
+    for k in range(-300, 301):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi.append(num / den)
+        hi_num, hi_den = hi[-1].as_integer_ratio()
+        lo.append((num * hi_den - hi_num * den) / (den * hi_den))
+        before = "0." + "0" * (-k - 1) if -4 <= k < 0 else ""
+        after = "" if -4 <= k < 17 else "e%+03d" % k
+        affixes.append(b"\0" + before.encode().ljust(23, b"\0") + after.encode().ljust(6, b"\0"))
+    affixes = np.frombuffer(b"".join(affixes), np.uint8).reshape(601, _WIDTH)
+    return np.array(hi), np.array(lo), affixes
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each double into two of 26 significant bits."""
+    c = 134217729.0 * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _percent_record(v: float) -> bytes:
+    """The record of a value the vectorised path leaves undecided."""
+    return (b"%.17g" % v).ljust(_WIDTH, b"\0")
+
+
+def _records(x: np.ndarray) -> np.ndarray:
+    """The (len(x), _WIDTH) uint8 records of the doubles `x`.
+
+    With X = floor(log10|x|), D = |x| * 10**(16 - X) rounded to an integer
+    holds the 17 digits %g writes; it is formed in double-double (Dekker's
+    exact product), to an error far below 1e-13.  Python's % decides what
+    this cannot: non-finite values, zeros, |x| outside [1e-280, 1e290], a
+    fraction within 1e-7 of one half, and an X that log10 put off by one."""
+    hi, lo, affixes = _decimal_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e290)
+    a[~fast] = 1.0
+    X = np.floor(np.log10(a)).astype(np.int64)
+    h, h_lo = hi[316 - X], lo[316 - X]
+    p = a * h
+    (ah, al), (hh, hl) = _halves(a), _halves(h)
+    rest = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * h_lo
+    whole, frac = np.divmod(rest, 1.0)
+    D = p.astype(np.int64) + whole.astype(np.int64)
+    # The last test also sends a carry to 10**17 to Python's %.
+    fast &= (np.abs(frac - 0.5) > 1e-7) & (D >= 10**16) & (D < 10**17 - 1)
+    D += frac > 0.5
+    lead, R = np.divmod(D, 10**16)
+    # The other 16 digits, 8 to a word, one a byte, most significant first:
+    # each lane is split into halves of 4, 2 and 1 digits (q = lane // div).
+    w = np.stack(np.divmod(R, 10**8), axis=1).astype(np.uint64)
+    for mul, shift, mask, div, lane in ((109951163, 40, 0x3FFF, 10000, 32),
+                                        (10486, 20, 0x7F0000007F, 100, 16),
+                                        (103, 10, 0x000F000F000F000F, 10, 8)):
+        q = ((w * mul) >> shift) & mask
+        w = q | ((w - q * div) << lane)
+    # Mark each digit up to the last nonzero one, which %g keeps.
+    ones = np.uint64(0x0101010101010101)
+    kept = (w | (w >> 1) | (w >> 2) | (w >> 3)) & ones
+    kept[:, 0] |= (w[:, 1] != 0) * ones
+    for lane in (8, 16, 32):
+        kept |= kept >> lane
+    digits = w + ones * 48
+    kept = (digits & (kept * 255)).view(np.uint8)
+    # 'd.ddde-05' for X < -4 and X > 16, '0.00dddd' for -4 <= X < 0.
+    rec = affixes[X + 300]
+    rec[:, 0] = np.signbit(x) * ord("-")
+    rec[:, 6] = lead + ord("0")
+    rec[:, 7] = ((R != 0) & ((X < -4) | (X >= 0))) * ord(".")
+    rec[:, 8:24] = kept
+    # 'ddd.ddd' for 0 <= X < 17: integer digits, the point, kept digits.
+    f = np.flatnonzero((X >= 0) & (X < 17))
+    j, Xf, core = np.arange(18), X[f, None], rec[f, 6:24]
+    full = np.concatenate([core[:, :1], digits[f].view(np.uint8), core[:, :1]], axis=1)
+    point = (D[f, None] % 10 ** (16 - Xf) != 0) * ord(".")
+    rec[f, 6:24] = np.where(j <= Xf, full, np.where(j == Xf + 1, point, core))
+    texts = b"".join(map(_percent_record, x[~fast].tolist()))
+    rec[~fast] = np.frombuffer(texts, np.uint8).reshape(-1, _WIDTH)
+    return rec
 
 
 # Types whose JSON text never holds ', '.
@@ -84,7 +181,7 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, np.ndarray):
         if obj.dtype != object:
             # No finite repr holds an "n": name the non-finite values as json does.
-            text = _json_text(_doubles(obj, "%r"), pad)
+            text = _json_text(_doubles(obj), pad)
             return text.replace("nan", "NaN").replace("inf", "Infinity")
         if not len(obj):
             return "[]"
@@ -180,24 +277,37 @@ def _setup(ns):
     return pulses, params, grid, cfg
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_output(parts: list[str], output: str | None) -> None:
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as f:
+        f.writelines(parts)
+
+
+def _text(v: float) -> str:
+    """format(v, ".17g"), through the CSV records."""
+    rec = _records(np.array([v]))
+    return rec[rec != 0].tobytes().decode("ascii")
 
 
 def _write_csv(ns, extra: dict, header: str, table: np.ndarray) -> None:
     """Write a CSV result: '# key = value' lines for the package version,
     the run's flags and `extra`, the column header, then one line per row
-    of the float `table`, each value as format(x, ".17g") writes it."""
+    of the float `table`; floats as format(x, ".17g") writes them.  The rows
+    are gathered from the values' records a block at a time."""
     lines = [f"# photonsim {__version__}"]
     lines += [f"# {k} = {ns[k]}" for k in sorted(ns) if k not in _RUN_FLAGS]
-    lines += [f"# {k} = {v}" for k, v in extra.items()]
+    lines += [f"# {k} = {_text(v) if isinstance(v, float) else v}" for k, v in extra.items()]
     lines.append(header)
-    rows, width = table.shape
-    body = ("%s," * (width - 1) + "%s\n") * rows % tuple(_doubles(table, "%.17g").flat)
-    _write_output("\n".join(lines) + "\n" + body, ns["output"])
+    values, index = _distinct(table)
+    records = np.concatenate([_records(values[i:i + _BLOCK])
+                              for i in range(0, max(1, len(values)), _BLOCK)])
+    parts = ["\n".join(lines) + "\n"]
+    step = max(1, _BLOCK // table.shape[1])
+    for i in range(0, len(index), step):
+        block = records[index[i:i + step]]
+        block[:, :, -1] = ord(",")
+        block[:, -1, -1] = ord("\n")
+        parts.append(block[block != 0].tobytes().decode("ascii"))
+    _write_output(parts, ns["output"])
 
 
 def _abs2(z: np.ndarray) -> list:
@@ -208,7 +318,7 @@ def _abs2(z: np.ndarray) -> list:
 
 def _write_json(ns, payload: dict) -> None:
     """Write a JSON result: the payload and the package version, keys sorted."""
-    _write_output(_json_dumps({**payload, "version": __version__}), ns["output"])
+    _write_output([_json_dumps({**payload, "version": __version__})], ns["output"])
 
 
 def cmd_single(ns) -> int:
@@ -219,9 +329,10 @@ def cmd_single(ns) -> int:
     el, er = out.eta_l, out.eta_r
     columns = [grid.points, el.real, el.imag, er.real, er.imag, _abs2(el), _abs2(er)]
     header = "nu,eta_l_re,eta_l_im,eta_r_re,eta_r_im,abs2_l,abs2_r"
-    _write_csv(ns, {"norm": "%.17g" % norm}, header, np.column_stack(columns))
+    _write_csv(ns, {"norm": norm}, header, np.column_stack(columns))
     summary = {"p_left": p_left, "p_right": p_right, "norm": norm, **_param_fields(params)}
-    sys.stdout.write(_json_dumps(summary))
+    # With the table on stdout, the summary goes to stderr: each stream parses.
+    (sys.stdout if ns["output"] else sys.stderr).write(_json_dumps(summary))
     return 0
 
 
@@ -243,8 +354,7 @@ def cmd_amplitudes(ns) -> int:
     values, points = amp.values.ravel(), grid.points
     table = np.column_stack([np.repeat(points, grid.n), np.tile(points, grid.n),
                              values.real, values.imag, _abs2(values)])
-    extra = {"max_point_error": "%.17g" % amp.max_point_error}
-    _write_csv(ns, extra, "omega1,omega2,re,im,abs2", table)
+    _write_csv(ns, {"max_point_error": amp.max_point_error}, "omega1,omega2,re,im,abs2", table)
     return 0
 
 

@@ -2,6 +2,7 @@
 codes, config round trips, and output schemas."""
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -10,6 +11,7 @@ import re
 import struct
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +104,13 @@ BYTE_CALLS = {
                               "--grid", "-6:6:121"],
     "amplitudes-lr-121-json": ["amplitudes", "--channel", "lr", "--gamma", "1", "--kappa", "1.5",
                                "--grid", "-6:6:121", "--format", "json"],
+    # A distinct-pulse map at the default grid's size, with values in all
+    # three %g layouts (d.ddde-05, 0.0ddd and ddd.ddd).
+    "amplitudes-ll-121-pair-csv": ["amplitudes", "--channel", "ll", *PAIR, "--grid", "-6:6:121"],
     "single": ["single", "--gamma", "0.9", "--kappa", "1.2", "--omega-c", "0.4",
                "--grid", "-100:100:201"],
+    # The pulse-scaled default grid: 801 points.
+    "single-801": ["single", "--gamma", "0.9", "--kappa", "1.2", "--omega-c", "0.4"],
     "single-pulse-csv": ["single", "--pulse-csv", "left.csv", "--kappa", "0.7",
                          "--grid", "-12:12:49"],
     "hom": ["hom", "--kappas", "0.5,1,2", "--grid", "-10:10:41"],
@@ -145,6 +152,15 @@ PINNED_BYTES = {
     "amplitudes-lr-121-json": {
         "out": "2f66335922169c4da27e850d8c7b2d6c",
         "stdout": EMPTY,
+    },
+    # Recorded before the CSV writer formatted values in numpy.
+    "amplitudes-ll-121-pair-csv": {
+        "out": "91c7b069e1e41701ac09804eb80c1dec",
+        "stdout": EMPTY,
+    },
+    "single-801": {
+        "out": "7cf34ee8a7f3b0d9f1e58af592820ac2",
+        "stdout": "69e7e695167fbc25b75dad7791ea7dc4",
     },
     "single": {
         "out": "77b255dd4136edc4cc78fd8d498aeca7",
@@ -241,6 +257,90 @@ def test_csv_table_formats_each_value_as_format_17g(case):
     width, rows = case
     want = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
     assert _csv_body(np.array(rows, dtype=float).reshape(len(rows), width)) == want
+
+
+def _record_texts(values) -> list:
+    """The text of each record `cli._records` makes for the doubles `values`."""
+    texts = []
+    for i in range(0, len(values), photonsim.cli._BLOCK):
+        rec = photonsim.cli._records(values[i:i + photonsim.cli._BLOCK])
+        rec[:, -1] = ord("\n")
+        texts += rec[rec != 0].tobytes().decode("ascii").split("\n")[:-1]
+    return texts
+
+
+def _with_neighbours(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+def test_csv_records_match_format_17g_on_a_seeded_sweep():
+    rng = np.random.default_rng(20261020)
+    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    subnormals = rng.integers(1, 2**52, 2_000) * 5e-324
+    values = np.concatenate([
+        patterns.view(np.float64), NANS,
+        np.round(rng.normal(0.0, 100.0, 20_000), 3), np.arange(-3000.0, 3001.0),
+        _with_neighbours([float(f"1e{k}") for k in range(-300, 301)]),
+        _with_neighbours([1e-5, 1e-4, 1e16, 1e17]), [np.nextafter(1e17, 0.0)],
+        subnormals, -subnormals, EDGE_FLOATS,
+    ])
+    assert np.isnan(values).sum() > 50
+    want = [format(x, ".17g") for x in values.tolist()]
+    bad = [(x, got, w) for x, got, w in zip(values.tolist(), _record_texts(values), want)
+           if got != w]
+    assert bad == []
+
+
+def test_records_decide_nearly_every_value_of_a_default_map(tmp_path, monkeypatch):
+    # Python's % is the per-value fallback; it must stay rare on real maps.
+    counts = {"values": 0, "fallback": 0}
+
+    def records(x, _real=photonsim.cli._records):
+        counts["values"] += len(x)
+        return _real(x)
+
+    def percent_record(v, _real=photonsim.cli._percent_record):
+        counts["fallback"] += 1
+        return _real(v)
+
+    monkeypatch.setattr(photonsim.cli, "_records", records)
+    monkeypatch.setattr(photonsim.cli, "_percent_record", percent_record)
+    for argv in (["amplitudes"], ["amplitudes", *PAIR]):
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 0
+    assert counts["values"] > 50_000
+    assert counts["fallback"] <= 0.01 * counts["values"]
+
+
+# tracemalloc peak of `_write_csv` on the distinct-pulse default map below,
+# with the values formatted by one Python % call (measured before the CSV
+# writer formatted values in numpy).
+PERCENT_WRITER_PEAK_BYTES = 5_622_116
+
+
+def test_csv_writer_peaks_no_higher_than_the_percent_writer(tmp_path, monkeypatch):
+    calls = []
+    write_csv = photonsim.cli._write_csv
+    monkeypatch.setattr(photonsim.cli, "_write_csv", lambda *args: calls.append(args))
+    assert main(["amplitudes", *PAIR, "--grid", "-6:6:121", "--output", str(tmp_path / "out")]) == 0
+    tracemalloc.start()
+    try:
+        write_csv(*calls[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PERCENT_WRITER_PEAK_BYTES
+
+
+def test_single_without_output_writes_the_table_to_stdout_and_the_summary_to_stderr(capsys):
+    assert run_cli("single", "--grid=-400:400:5") == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(ln for ln in out.splitlines() if not ln.startswith("#")))
+    assert rows[0] == "nu,eta_l_re,eta_l_im,eta_r_re,eta_r_im,abs2_l,abs2_r".split(",")
+    assert [len(row) for row in rows[1:]] == [7] * 5
+    assert np.isfinite(np.array(rows[1:], dtype=float)).all()
+    summary = json.loads(err)
+    assert summary["p_left"] + summary["p_right"] == pytest.approx(1.0, abs=1e-6)
 
 
 FLOAT_ARRAYS = hnp.arrays(
