@@ -9,7 +9,6 @@ from .amplitudes import (
     channel_matrices,
     t_ll,
     t_lr,
-    t_lr_identical,
     t_rr,
 )
 from .errors import (
@@ -52,15 +51,10 @@ from .observables import (
     single_photon_norm,
     single_photon_probabilities,
 )
-from .oracle import (
-    ComparisonReport,
-    compare_on_grid,
-    residue_convolution,
-)
+from .oracle import residue_convolution
 from .quadrature import (
     QuadConfig,
     QuadResult,
-    convolve_g,
     integrate_grid_2d,
     integrate_line,
 )

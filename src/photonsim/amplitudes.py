@@ -17,8 +17,7 @@ Grid fills and the tabulated probabilities window take J from one
 batched Gauss-Kronrod ladder (``ladder``: quadrature.j_lines with one
 rung per distinct frequency sum, 2n - 1 on an n-point grid), and
 amplitudes_at and t_ll/t_lr/t_rr one rung per point; no output path
-uses the closed-form oracle.residue_j.  t_lr_identical keeps its own
-rational form on the pointwise convolve_g as an independent second path.
+uses the closed-form oracle.residue_j.
 """
 
 from __future__ import annotations
@@ -35,12 +34,11 @@ from .kernels import theta_arrays
 from .model import (
     FrequencyGrid,
     NetworkParams,
-    PulseSpec,
     TwoPhotonInput,
     pulse_amplitude,
 )
 # j_line is re-exported: perfbench/tracing.py patches it at this import site.
-from .quadrature import QuadConfig, convolve_g, j_line, j_lines  # noqa: F401
+from .quadrature import QuadConfig, j_line, j_lines  # noqa: F401
 
 
 class Channel(Enum):
@@ -89,28 +87,6 @@ def t_lr(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParam
 def t_rr(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
     """Both photons in the right output channel."""
     return complex(amplitudes_at(omega1, omega2, inp, params, cfg).rr[0])
-
-
-def t_lr_identical(omega1: float, omega2: float, pulse: PulseSpec, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
-    """Specialized coincidence amplitude for identical input pulses.
-
-    Algebraically equal to t_lr with both channels fed the same pulse;
-    the independent second path: its own rational form and channel
-    factor on the pointwise convolve_g instead of assemble on j_lines.
-    """
-    inp = TwoPhotonInput(pulse, pulse)
-    if params.kappa == 0.0:
-        return complex(pulse_amplitude(pulse, omega1) * pulse_amplitude(pulse, omega2))
-    k, wc = params.kappa, params.omega_c
-    d = (omega1 + wc - 2j * k) * (omega2 + wc - 2j * k)
-    lin = (
-        pulse_amplitude(pulse, omega1)
-        * pulse_amplitude(pulse, omega2)
-        * ((omega1 + wc) * (omega2 + wc) - (2.0 * k) ** 2)
-        / d
-    )
-    pref = 2.0 * math.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
-    return lin + pref * convolve_g(omega1, omega2, inp, params, cfg).value
 
 
 def sum_factor(sums, params: NetworkParams):

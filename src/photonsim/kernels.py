@@ -54,7 +54,9 @@ def g_kernel(omega1, omega2, nu1, nu2, params: NetworkParams):
     Rational in all four real frequencies with poles a distance 2*kappa
     off the real axis, so it is finite everywhere on real arguments for
     kappa > 0.  Returns exactly 0 when kappa = 0 (the kappa^(3/2)
-    prefactor).  Broadcasts over ndarray arguments.
+    prefactor).  Broadcasts over ndarray arguments.  No output integrates
+    it directly; verify's kernel-factorisation check ties it to the
+    reduced form that the outputs use.
     """
     k = params.kappa
     if k == 0.0:

@@ -15,24 +15,21 @@ p_r - q_u; it cancels and leaves one rational in s = omega1 + omega2,
 which is regular where p_r meets q_u (gamma_R = 4 kappa, the degenerate
 manifold).  The lower closure keeps the raw residue sum at the poles of
 _pole_locations as a cross-check; its two poles stay simple there.
-This module evaluates that closed form independently of the adaptive
-quadrature path.  compare_on_grid checks convolve_g against it on a grid,
-each path in one batched call; kernels.cmul keeps a batch rounding like
-the same values taken one at a time, so the report does not depend on
-batching.
+This module evaluates that closed form without quadrature and imports
+no engine module, so it shares no code with the path it checks;
+kernels.cmul keeps a batch rounding like the same values taken one at
+a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .kernels import cmul
-from .model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
-from .quadrature import convolve_g
+from .model import LorentzianPulse, NetworkParams, pulse_amplitude
 
 
 def _pole_locations(omega_sum, gamma_l, gamma_r, omega_o_l, omega_o_r, params: NetworkParams):
@@ -106,43 +103,18 @@ def residue_convolution(omega1, omega2, gamma_l: float, gamma_r: float, omega_o:
     return value if np.ndim(value) else complex(value)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    max_abs_err: float
-    max_rel_err: float
-    worst_node: tuple[float, float]
-    near_zero: bool
+def residue_t_lr(omega1: float, omega2: float, pulse: LorentzianPulse, params: NetworkParams) -> complex:
+    """Closed-form coincidence amplitude for identical Lorentzian inputs.
 
-
-def compare_on_grid(
-    grid: FrequencyGrid,
-    gamma_l: float,
-    gamma_r: float,
-    omega_o: float,
-    params: NetworkParams,
-) -> ComparisonReport:
-    """Evaluate both convolution paths on grid x grid and report errors.
-
-    Each path is one batched call over the grid's pairs.  Relative errors
-    are measured against the larger magnitude at each node, with nodes
-    below 1e-12 of the grid-wide peak treated as exact zeros; worst_node
-    is the first node, in row-major order, with the largest one.
-    ``near_zero`` flags regimes (e.g. vanishing coupling) where both paths
-    are uniformly below 1e-8 in absolute value.
+    Algebraically equal to amplitudes.t_lr with both channels fed
+    ``pulse``, by a separate formula and no quadrature: the linear part
+    in its own rational form plus the channel factor times
+    residue_convolution.
     """
-    w1, w2 = (w.ravel() for w in np.meshgrid(grid.points, grid.points, indexing="ij"))
-    inp = TwoPhotonInput(LorentzianPulse(gamma_l, omega_o), LorentzianPulse(gamma_r, omega_o))
-    q = convolve_g(w1, w2, inp, params).value
-    r = residue_convolution(w1, w2, gamma_l, gamma_r, omega_o, params)
-    # hypot rounds like abs() on one complex; numpy's vectorised abs may not.
-    abs_err, qa, ra = (np.hypot(z.real, z.imag) for z in (q - r, q, r))
-    denom = np.maximum(qa, ra)
-    peak = float(denom.max())
-    rel_err = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 1e-12 * peak)
-    worst = int(np.argmax(rel_err))
-    return ComparisonReport(
-        max_abs_err=float(abs_err.max()),
-        max_rel_err=float(rel_err[worst]),
-        worst_node=(float(w1[worst]), float(w2[worst])),
-        near_zero=peak <= 1e-8,
-    )
+    xi = pulse_amplitude(pulse, omega1) * pulse_amplitude(pulse, omega2)
+    if params.kappa == 0.0:
+        return complex(xi)
+    k, wc = params.kappa, params.omega_c
+    lin = xi * ((omega1 + wc) * (omega2 + wc) - (2.0 * k) ** 2) / ((omega1 + wc - 2j * k) * (omega2 + wc - 2j * k))
+    channel = 2.0 * math.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
+    return lin + channel * residue_convolution(omega1, omega2, pulse.gamma, pulse.gamma, pulse.omega_o, params)

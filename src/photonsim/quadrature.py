@@ -16,13 +16,12 @@ frequency sums s, with windows, seeds and tails from
 supply the integrand symmetrised under nu <-> s - nu, and it integrates
 nu >= s / 2 with the seeds mirrored there, where mirror-image features
 fall together, plus one mapped tail.  It runs the convolution ladder
-(``j_lines``: one reduced convolution per distinct frequency sum), the
-inner batch of the whole-plane probabilities, and ``convolve_g``, whose
-full two-photon kernel lets the residue oracle test this engine through
-a second formula.  ``graded_seeds`` is the one seeding rule around
-features of known pole distance: break points graded geometrically
-toward it, so bisection starts near the scale it must reach; break
-points that agree up to rounding are merged into one.
+(``j_lines``: one reduced convolution per distinct frequency sum) and
+the inner batch of the whole-plane probabilities.  ``graded_seeds`` is
+the one seeding rule around features of known pole distance: break
+points graded geometrically toward it, so bisection starts near the
+scale it must reach; break points that agree up to rounding are merged
+into one.
 ``integrate_grid_2d`` is the tensor trapezoid rule on the shared grid.
 
 Every contraction on the probabilities path stays on one core: after a
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import NoConvergence, ShapeMismatch
 from .model import (
     FrequencyGrid,
@@ -522,32 +520,6 @@ def pulse_products(inp: TwoPhotonInput, nu, mu):
     if inp.identical:
         return p1, p1
     return p1, pulse_amplitude(inp.right, nu) * pulse_amplitude(inp.left, mu)
-
-
-def convolve_g(omega1, omega2, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> QuadResult:
-    """Nonlinear convolution integral shared by all three output channels.
-
-    Integrates amplitude_L(nu) * amplitude_R(omega1+omega2-nu) *
-    g_kernel(omega1, omega2, nu, omega1+omega2-nu) over the real line,
-    without the channel prefactor applied by the amplitude assembly.
-    The full kernel, not j_lines' reduced form, makes this the second
-    path that the residue oracle checks.  Broadcasts over (omega1,
-    omega2): one convolution_lines line per pair, so a batch equals the
-    per-pair calls.  Returns a QuadResult of scalars for scalar inputs,
-    else of arrays shaped like the pairs; exactly zero for kappa = 0 and
-    for an empty window.
-    """
-    w1, w2 = np.broadcast_arrays(np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float))
-    shape, w1, w2 = w1.shape, w1.ravel(), w2.ravel()
-
-    def integrand(nu, mu, line):
-        p1, p2 = pulse_products(inp, nu, mu)
-        return (p1 + p2) * kernels.g_kernel(w1[line], w2[line], nu, mu, params)
-
-    values, errors, evals = convolution_lines(integrand, w1 + w2, inp, params, cfg)
-    if not shape:
-        return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
-    return QuadResult(values.reshape(shape), errors.reshape(shape), evals.reshape(shape))
 
 
 def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None):

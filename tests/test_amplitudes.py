@@ -11,7 +11,6 @@ from photonsim.amplitudes import (
     linear_parts,
     t_ll,
     t_lr,
-    t_lr_identical,
     t_rr,
 )
 from photonsim.errors import NoConvergence
@@ -22,6 +21,7 @@ from photonsim.model import (
     TwoPhotonInput,
     pulse_amplitude,
 )
+from photonsim.oracle import residue_t_lr
 from photonsim.quadrature import QuadConfig, integrate_grid_2d, trapezoid_weights
 
 PULSE = LorentzianPulse(1.0, 0.0)
@@ -102,7 +102,7 @@ def test_general_equals_specialized_coincidence_form():
         for _ in range(10):
             w1, w2 = rng.uniform(-6, 6, 2)
             a = t_lr(w1, w2, IDENTICAL, params)
-            b = t_lr_identical(w1, w2, PULSE, params)
+            b = residue_t_lr(w1, w2, PULSE, params)
             assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
 

@@ -200,8 +200,8 @@ PINNED_BYTES = {
         "stdout": EMPTY,
     },
     "verify-quick": {
-        "out": "500b989425a6f1d100dd273bd1f7a90f",
-        "stdout": "9a877ac4125c85a3949859023d82f6c5",
+        "out": "270dffe31dcb7031fd3ff8920e2a4a6f",
+        "stdout": "00a8a725995b7b174e5616ba9e4ebd4d",
     },
 }
 
@@ -753,6 +753,7 @@ def test_verify_quick_passes(tmp_path):
     report = run_verify(quick=True)
     assert report["all_passed"]
     names = {c["name"] for c in report["checks"]}
+    assert "kernel-factorisation" in names
     assert "oracle-vs-quadrature" in names
     assert "probability-conservation" in names
 
@@ -808,7 +809,9 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
 
 def test_verify_catches_injected_kernel_bug(monkeypatch):
     # Negative control: a sign flip in the nonlinear kernel must be caught
-    # and attributed to the oracle comparison.
+    # by the factorisation check.  The conjugation check cannot see it:
+    # -g(-w, -omega_c) = conj(-g(w, omega_c)) holds whenever the true
+    # kernel's identity does, so the flipped kernel still passes it.
     real = photonsim.kernels.g_kernel
 
     def flipped(*args, **kwargs):
@@ -818,7 +821,8 @@ def test_verify_catches_injected_kernel_bug(monkeypatch):
     report = run_verify(quick=True)
     assert not report["all_passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert "oracle-vs-quadrature" in failed
+    assert "kernel-factorisation" in failed
+    assert "kernel-conjugation-identity" not in failed
 
 
 def test_verify_catches_injected_grid_prefactor_bug(monkeypatch):

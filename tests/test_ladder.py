@@ -22,7 +22,6 @@ from photonsim.oracle import residue_j
 from photonsim.quadrature import (
     QuadConfig,
     convolution_windows,
-    convolve_g,
     integrate_line,
     integrate_lines,
     j_line,
@@ -169,7 +168,6 @@ def test_folded_ladder_with_supports_on_one_side(side):
     sums = np.array([-10.0, 1.0, 3.0])
     values, errors, evals = j_lines(sums, inp, params)
     assert values[0] == 0.0 and errors[0] == 0.0 and evals[0] == 0
-    assert convolve_g(-5.0, -5.0, inp, params).value == 0.0
     for s, got in zip(sums[1:], values[1:]):
         lo, hi, seeds = convolution_windows(s, inp, params)
         assert (hi[0] <= 0.5 * s) if side == "below" else (lo[0] >= 0.5 * s)

@@ -52,6 +52,12 @@ def test_modules_import_only_from_lower_layers():
     assert back_edges == []
 
 
+def test_oracle_shares_no_code_with_the_engine_it_checks():
+    # The closed forms are an independent reference only while they import
+    # nothing that computes an output.
+    assert _imported_modules(PACKAGE / "oracle.py") <= {"errors", "kernels", "model"}
+
+
 def test_only_the_engine_and_the_cli_default_a_quad_config():
     # Every path gets its default tolerances from the engine, or from the
     # CLI's own settings: QuadConfig() with no arguments appears nowhere else.
