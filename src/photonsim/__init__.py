@@ -7,9 +7,6 @@ from .amplitudes import (
     amplitude_grid,
     amplitudes_at,
     channel_matrices,
-    t_ll,
-    t_lr,
-    t_rr,
 )
 from .errors import (
     NoConvergence,
@@ -56,7 +53,6 @@ from .quadrature import (
     QuadConfig,
     QuadResult,
     integrate_grid_2d,
-    integrate_line,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ F * J, one value per sum, and assemble multiplies in u u s' per node.
 Grid fills and the tabulated probabilities window take J from one
 batched Gauss-Kronrod ladder (``ladder``: quadrature.j_lines with one
 rung per distinct frequency sum, 2n - 1 on an n-point grid), and
-amplitudes_at and t_ll/t_lr/t_rr one rung per point; no output path
-uses the closed-form oracle.residue_j.
+amplitudes_at, the one point-evaluation API, one rung per pair; no
+output path uses the closed-form oracle.residue_j.
 """
 
 from __future__ import annotations
@@ -72,21 +72,6 @@ class JointAmplitude:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def t_ll(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
-    """Both photons in the left output channel."""
-    return complex(amplitudes_at(omega1, omega2, inp, params, cfg).ll[0])
-
-
-def t_lr(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
-    """One photon in each output channel (omega1 on the left)."""
-    return complex(amplitudes_at(omega1, omega2, inp, params, cfg).lr[0])
-
-
-def t_rr(omega1: float, omega2: float, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None) -> complex:
-    """Both photons in the right output channel."""
-    return complex(amplitudes_at(omega1, omega2, inp, params, cfg).rr[0])
 
 
 def sum_factor(sums, params: NetworkParams):

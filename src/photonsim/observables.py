@@ -377,7 +377,9 @@ def hom_scan(
     ``grid`` is as in probabilities: a sampled pulse needs one.
     """
     kappas = [float(k) for k in kappas]
-    if not kappas or any(k <= 0 for k in kappas):
+    if not kappas:
+        raise ValidationError("kappas is empty: give at least one coupling strength")
+    if any(k <= 0 for k in kappas):
         raise ValidationError("kappas must be positive")
     if any(b <= a for a, b in zip(kappas, kappas[1:])):
         raise ValidationError("kappas must be strictly increasing")

@@ -103,18 +103,24 @@ def residue_convolution(omega1, omega2, gamma_l: float, gamma_r: float, omega_o:
     return value if np.ndim(value) else complex(value)
 
 
+def residue_conv_term(omega1, omega2, gamma_l: float, gamma_r: float, omega_o: float, params: NetworkParams):
+    """The convolution term of every channel amplitude (GridAssembly.conv)
+    for Lorentzian inputs: the channel factor times residue_convolution."""
+    k, wc = params.kappa, params.omega_c
+    channel = 2.0 * np.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
+    return channel * residue_convolution(omega1, omega2, gamma_l, gamma_r, omega_o, params)
+
+
 def residue_t_lr(omega1: float, omega2: float, pulse: LorentzianPulse, params: NetworkParams) -> complex:
     """Closed-form coincidence amplitude for identical Lorentzian inputs.
 
-    Algebraically equal to amplitudes.t_lr with both channels fed
+    Algebraically equal to amplitudes_at(...).lr with both channels fed
     ``pulse``, by a separate formula and no quadrature: the linear part
-    in its own rational form plus the channel factor times
-    residue_convolution.
+    in its own rational form plus residue_conv_term.
     """
     xi = pulse_amplitude(pulse, omega1) * pulse_amplitude(pulse, omega2)
     if params.kappa == 0.0:
         return complex(xi)
     k, wc = params.kappa, params.omega_c
     lin = xi * ((omega1 + wc) * (omega2 + wc) - (2.0 * k) ** 2) / ((omega1 + wc - 2j * k) * (omega2 + wc - 2j * k))
-    channel = 2.0 * math.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
-    return lin + channel * residue_convolution(omega1, omega2, pulse.gamma, pulse.gamma, pulse.omega_o, params)
+    return lin + residue_conv_term(omega1, omega2, pulse.gamma, pulse.gamma, pulse.omega_o, params)

@@ -363,17 +363,6 @@ def integrate_lines(f, lo, hi, cfg: QuadConfig | None = None, seeds=None, tails=
     return _refine(f, m, seg, a, b, edge, step, budget, cfg, labels)
 
 
-def integrate_line(f, a: float, b: float, cfg: QuadConfig | None = None, seeds=()) -> QuadResult:
-    """One line of integrate_lines: a complex-valued f(x) over [a, b],
-    with optional interior break points ``seeds``.  NoConvergence carries
-    the partial result."""
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    values, errors, evals = integrate_lines(lambda x, _line: f(x), a, b, cfg, seeds=seeds)
-    return QuadResult(complex(values[0]), float(errors[0]), int(evals[0]))
-
-
 def integrate_half_line_multi(f, edge, direction, scale, cfg: QuadConfig | None = None):
     """Integrate m integrands over half-lines at once.
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from photonsim.amplitudes import channel_matrices, t_ll, t_lr, t_rr
+from photonsim.amplitudes import amplitudes_at, channel_matrices
 from photonsim.cli import main as cli_main
 from photonsim.kernels import theta_arrays
 from photonsim.model import (
@@ -24,7 +24,7 @@ from photonsim.observables import (
     single_photon_norm,
     single_photon_probabilities,
 )
-from photonsim.oracle import residue_convolution, residue_t_lr
+from photonsim.oracle import residue_conv_term, residue_t_lr
 from photonsim.quadrature import trapezoid_weights
 from photonsim.verify import run_verify
 
@@ -46,11 +46,9 @@ def test_dual_method_oracle_equivalence():
         # The grid fill's convolution term against the channel factor times
         # the residue closed form, relative to the larger magnitude; nodes
         # below 1e-12 of the grid-wide peak count as exact zeros.
-        k = 1.5
-        params = NetworkParams(k, wc)
+        params = NetworkParams(1.5, wc)
         got = channel_matrices(grid, IDENTICAL, params).conv
-        channel = 2.0 * np.sqrt(k) * (w1 + wc + 2j * k) / (w1 + wc - 2j * k)
-        want = channel * residue_convolution(w1, w2, 1.0, 1.0, 0.0, params)
+        want = residue_conv_term(w1, w2, 1.0, 1.0, 0.0, params)
         scale = np.maximum(np.abs(got), np.abs(want))
         worst = max(worst, float((np.abs(got - want) / np.maximum(scale, 1e-12 * scale.max())).max()))
     elapsed = time.time() - start
@@ -130,25 +128,16 @@ def test_hom_reproduction():
 def test_identical_pulse_identities():
     rng = np.random.default_rng(2718)
     params = NetworkParams(1.5, 0.0)
-    worst_ll_rr = 0.0
-    for _ in range(200):
-        w1, w2 = rng.uniform(-6, 6, 2)
-        worst_ll_rr = max(
-            worst_ll_rr, abs(t_ll(w1, w2, IDENTICAL, params) - t_rr(w1, w2, IDENTICAL, params))
-        )
-    worst_swap = 0.0
-    for _ in range(100):
-        w1, w2 = rng.uniform(-6, 6, 2)
-        t12 = t_rr(w1, w2, IDENTICAL, params)
-        t21 = t_rr(w2, w1, IDENTICAL, params)
-        worst_swap = max(worst_swap, abs(np.conj(t12) * t21 - abs(t12) ** 2))
-    worst_lr = 0.0
-    for _ in range(100):
-        w1, w2 = rng.uniform(-6, 6, 2)
-        worst_lr = max(
-            worst_lr,
-            abs(t_lr(w1, w2, IDENTICAL, params) - residue_t_lr(w1, w2, PULSE, params)),
-        )
+    w1, w2 = rng.uniform(-6, 6, (200, 2)).T
+    at = amplitudes_at(w1, w2, IDENTICAL, params)
+    worst_ll_rr = float(np.max(np.abs(at.ll - at.rr)))
+    w1, w2 = rng.uniform(-6, 6, (100, 2)).T
+    t12 = amplitudes_at(w1, w2, IDENTICAL, params).rr
+    t21 = amplitudes_at(w2, w1, IDENTICAL, params).rr
+    worst_swap = float(np.max(np.abs(np.conj(t12) * t21 - np.abs(t12) ** 2)))
+    w1, w2 = rng.uniform(-6, 6, (100, 2)).T
+    lr = amplitudes_at(w1, w2, IDENTICAL, params).lr
+    worst_lr = max(abs(t - residue_t_lr(a, b, PULSE, params)) for t, a, b in zip(lr, w1, w2))
     ok = worst_ll_rr <= 1e-12 and worst_swap <= 1e-8 and worst_lr <= 1e-12
     report(
         "identical-pulse-identities",

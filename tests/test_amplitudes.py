@@ -9,9 +9,6 @@ from photonsim.amplitudes import (
     amplitudes_at,
     channel_matrices,
     linear_parts,
-    t_ll,
-    t_lr,
-    t_rr,
 )
 from photonsim.errors import NoConvergence
 from photonsim.model import (
@@ -30,11 +27,11 @@ FIG_PARAMS = NetworkParams(1.5, 0.0, 0.0)
 
 
 def test_zero_coupling_amplitudes():
-    params = NetworkParams(0.0)
-    assert t_ll(0.3, -0.2, IDENTICAL, params) == 0.0j
-    assert t_rr(0.3, -0.2, IDENTICAL, params) == 0.0j
+    at = amplitudes_at(0.3, -0.2, IDENTICAL, NetworkParams(0.0))
+    assert at.ll[0] == 0.0j
+    assert at.rr[0] == 0.0j
     want = pulse_amplitude(PULSE, 0.3) * pulse_amplitude(PULSE, -0.2)
-    assert t_lr(0.3, -0.2, IDENTICAL, params) == pytest.approx(want)
+    assert at.lr[0] == pytest.approx(want)
 
 
 def test_zero_coupling_grid_all_zero():
@@ -71,12 +68,9 @@ def test_linear_parts_match_literal_rational_form():
 
 
 def test_identical_pulses_ll_equals_rr_pointwise():
-    rng = np.random.default_rng(14)
-    for _ in range(25):
-        w1, w2 = rng.uniform(-6, 6, 2)
-        a = t_ll(w1, w2, IDENTICAL, FIG_PARAMS)
-        b = t_rr(w1, w2, IDENTICAL, FIG_PARAMS)
-        assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+    w1, w2 = np.random.default_rng(14).uniform(-6, 6, (25, 2)).T
+    at = amplitudes_at(w1, w2, IDENTICAL, FIG_PARAMS)
+    assert np.all(np.abs(at.ll - at.rr) <= 1e-12 * np.maximum(np.abs(at.ll), 1.0))
 
 
 def test_identical_pulses_ll_equals_rr_grid_bitwise():
@@ -88,34 +82,19 @@ def test_identical_pulses_ll_equals_rr_grid_bitwise():
 def test_swap_product_identity():
     # conj(T)[w1,w2] * T[w2,w1] equals |T[w1,w2]|^2 for identical pulses
     # (the amplitude is exchange symmetric).
-    rng = np.random.default_rng(15)
-    for _ in range(25):
-        w1, w2 = rng.uniform(-6, 6, 2)
-        t12 = t_rr(w1, w2, IDENTICAL, FIG_PARAMS)
-        t21 = t_rr(w2, w1, IDENTICAL, FIG_PARAMS)
-        assert abs(np.conj(t12) * t21 - abs(t12) ** 2) <= 1e-8 * max(abs(t12) ** 2, 1e-12)
+    w1, w2 = np.random.default_rng(15).uniform(-6, 6, (25, 2)).T
+    t12 = amplitudes_at(w1, w2, IDENTICAL, FIG_PARAMS).rr
+    t21 = amplitudes_at(w2, w1, IDENTICAL, FIG_PARAMS).rr
+    assert np.all(np.abs(np.conj(t12) * t21 - np.abs(t12) ** 2) <= 1e-8 * np.maximum(np.abs(t12) ** 2, 1e-12))
 
 
 def test_general_equals_specialized_coincidence_form():
     rng = np.random.default_rng(16)
     for params in (FIG_PARAMS, NetworkParams(1.5, 3.0)):
-        for _ in range(10):
-            w1, w2 = rng.uniform(-6, 6, 2)
-            a = t_lr(w1, w2, IDENTICAL, params)
-            b = residue_t_lr(w1, w2, PULSE, params)
-            assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
-
-
-def test_grid_matches_pointwise_evaluation():
-    grid = FrequencyGrid(-6.0, 6.0, 13)
-    ga = channel_matrices(grid, IDENTICAL, FIG_PARAMS)
-    pts = grid.points
-    for i in (0, 4, 9):
-        for j in (2, 6, 12):
-            want = t_lr(float(pts[i]), float(pts[j]), IDENTICAL, FIG_PARAMS)
-            assert abs(ga.lr[i, j] - want) <= 1e-12
-            want = t_ll(float(pts[i]), float(pts[j]), IDENTICAL, FIG_PARAMS)
-            assert abs(ga.ll[i, j] - want) <= 1e-12
+        w1, w2 = rng.uniform(-6, 6, (10, 2)).T
+        a = amplitudes_at(w1, w2, IDENTICAL, params).lr
+        b = [residue_t_lr(x, y, PULSE, params) for x, y in zip(w1, w2)]
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0))
 
 
 @pytest.mark.parametrize(
@@ -135,7 +114,7 @@ def test_amplitudes_at_matches_grid_fill(inp, params):
     at = amplitudes_at(pts[:, None], pts[None, :], inp, params)
     for name in ("ll", "lr", "rr"):
         assert np.abs(getattr(at, name) - getattr(ga, name)).max() <= 1e-12
-    assert abs(t_lr(float(pts[3]), float(pts[8]), inp, params) - at.lr[3, 8]) <= 1e-12
+    assert abs(amplitudes_at(pts[3], pts[8], inp, params).lr[0] - at.lr[3, 8]) <= 1e-12
 
 
 def test_fig_style_grid_is_sane():

@@ -31,7 +31,7 @@ from photonsim.model import (
     save_sampled_pulse,
     tabulate_pulse,
 )
-from photonsim.verify import run_verify
+from photonsim.verify import _CHECKS, run_verify
 
 GOLDEN = Path(__file__).parent / "data" / "amplitudes_lr_13.csv"
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
@@ -200,8 +200,8 @@ PINNED_BYTES = {
         "stdout": EMPTY,
     },
     "verify-quick": {
-        "out": "270dffe31dcb7031fd3ff8920e2a4a6f",
-        "stdout": "00a8a725995b7b174e5616ba9e4ebd4d",
+        "out": "4c40f9a06d703c8afe787d23e99d594b",
+        "stdout": "2f2ae4c6afaccc34d269cb959bb674c2",
     },
 }
 
@@ -593,6 +593,11 @@ def test_validation_error_exit_code(capsys):
     assert run_cli("probabilities", "--gamma-l", "1", "--kappa", "1") == 2
 
 
+def test_empty_kappa_list_exits_2(capsys):
+    assert run_cli("hom", "--kappas", ",") == 2
+    assert capsys.readouterr().err == "error: kappas is empty: give at least one coupling strength\n"
+
+
 def test_no_convergence_exit_code(capsys):
     code = run_cli("amplitudes", "--channel", "lr", "--grid", "-2:2:5",
                    "--kappa", "1.5", "--tol", "1e-300")
@@ -756,6 +761,22 @@ def test_verify_quick_passes(tmp_path):
     assert "kernel-factorisation" in names
     assert "oracle-vs-quadrature" in names
     assert "probability-conservation" in names
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_identical_pulse_identities_batch_their_nodes(monkeypatch, quick):
+    # The check evaluates its nodes in one amplitudes_at call and the
+    # swapped nodes in a second, not one convolution call per node.
+    real, calls = photonsim.amplitudes.j_lines, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(photonsim.amplitudes, "j_lines", counted)
+    value, threshold, _ = dict(_CHECKS)["identical-pulse-identities"](quick)
+    assert value <= threshold
+    assert len(calls) <= 2
 
 
 def test_verify_quick_report_names_the_path_each_check_ran(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Tests for the batched convolution ladder (quadrature.j_lines on the
 integrate_lines engine) against the residue closed form and one-line
-integrate_line calls."""
+integrate_lines calls."""
 
 import tracemalloc
 
@@ -22,7 +22,6 @@ from photonsim.oracle import residue_j
 from photonsim.quadrature import (
     QuadConfig,
     convolution_windows,
-    integrate_line,
     integrate_lines,
     j_line,
     j_lines,
@@ -140,14 +139,14 @@ def test_ladder_matches_scalar_integrator_on_tabulated_pulses():
             assert got == 0.0
             continue
 
-        def integrand(nu, s=s):
+        def integrand(nu, _line, s=s):
             return (
                 pulse_amplitude(inp.left, nu)
                 * pulse_amplitude(inp.right, s - nu)
                 / ((nu + wc - two_ik) * (s - nu + wc - two_ik))
             )
 
-        want = integrate_line(integrand, lo, hi, cfg, seeds=seeds).value
+        want = integrate_lines(integrand, lo, hi, cfg, seeds=[seeds])[0][0]
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
 
@@ -172,14 +171,14 @@ def test_folded_ladder_with_supports_on_one_side(side):
         lo, hi, seeds = convolution_windows(s, inp, params)
         assert (hi[0] <= 0.5 * s) if side == "below" else (lo[0] >= 0.5 * s)
 
-        def integrand(nu, s=s):
+        def integrand(nu, _line, s=s):
             return (
                 pulse_amplitude(inp.left, nu)
                 * pulse_amplitude(inp.right, s - nu)
                 / ((nu + wc - two_ik) * (s - nu + wc - two_ik))
             )
 
-        want = integrate_line(integrand, float(lo[0]), float(hi[0]), seeds=seeds[0]).value
+        want = integrate_lines(integrand, lo, hi, seeds=seeds)[0][0]
         assert abs(want) > 0.0
         assert abs(got - want) <= 1e-12 * abs(want)
 

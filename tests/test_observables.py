@@ -362,8 +362,10 @@ def test_hom_scan_no_detuning_strong_coupling():
 def test_hom_scan_validation():
     with pytest.raises(ValidationError):
         hom_scan([2.0, 1.0], 2.0, PULSE, GRID)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="positive"):
         hom_scan([0.0, 1.0], 2.0, PULSE, GRID)
+    with pytest.raises(ValidationError, match="empty"):
+        hom_scan([], 2.0, PULSE, GRID)
 
 
 @pytest.mark.parametrize("inp", [IDENTICAL, _DISTINCT], ids=["identical", "distinct"])

@@ -7,6 +7,7 @@ from photonsim.amplitudes import channel_matrices
 from photonsim.errors import ValidationError
 from photonsim.model import FrequencyGrid, LorentzianPulse, NetworkParams, TwoPhotonInput
 from photonsim.oracle import (
+    residue_conv_term,
     residue_convolution,
     residue_j,
 )
@@ -113,10 +114,7 @@ def test_grid_fill_near_zero_coupling():
     # below any relative floor, so the bound is absolute.
     grid = FrequencyGrid(-2.0, 2.0, 4)
     params = NetworkParams(1e-6, 0.0)
-    w1, w2 = grid.points[:, None], grid.points[None, :]
-    k = params.kappa
-    channel = 2.0 * np.sqrt(k) * (w1 + 2j * k) / (w1 - 2j * k)
-    want = channel * residue_convolution(w1, w2, 1.0, 1.0, 0.0, params)
+    want = residue_conv_term(grid.points[:, None], grid.points[None, :], 1.0, 1.0, 0.0, params)
     got = channel_matrices(grid, TwoPhotonInput(LorentzianPulse(1.0), LorentzianPulse(1.0)), params).conv
     assert np.abs(want).max() <= 1e-8
     assert np.abs(got - want).max() <= 1e-8

@@ -21,7 +21,6 @@ from photonsim.quadrature import (
     graded_seeds,
     integrate_grid_2d,
     integrate_half_line_multi,
-    integrate_line,
     integrate_lines,
     j_line,
     j_lines,
@@ -30,10 +29,10 @@ from photonsim.quadrature import (
 
 
 def test_constant_integrand():
-    res = integrate_line(lambda x: np.ones_like(x), 0.0, 2.0)
-    assert res.value == pytest.approx(2.0, abs=1e-14)
-    assert res.abs_error_estimate < 1e-12
-    assert res.evaluations >= 15
+    values, errors, evals = integrate_lines(lambda x, _line: np.ones_like(x), 0.0, 2.0)
+    assert values[0] == pytest.approx(2.0, abs=1e-14)
+    assert errors[0] < 1e-12
+    assert evals[0] >= 15
 
 
 def test_polynomial_exactness():
@@ -44,26 +43,26 @@ def test_polynomial_exactness():
         coeffs = rng.uniform(-1, 1, deg + 1)
         a, b = -1.7, 2.4
         exact = sum(c / (k + 1) * (b ** (k + 1) - a ** (k + 1)) for k, c in enumerate(coeffs))
-        res = integrate_line(lambda x: np.polynomial.polynomial.polyval(x, coeffs), a, b)
-        assert abs(res.value - exact) <= 1e-13 * max(1.0, abs(exact))
+        values, _, _ = integrate_lines(lambda x, _line: np.polynomial.polynomial.polyval(x, coeffs), a, b)
+        assert abs(values[0] - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
 def test_lorentzian_line_integral():
     # Antiderivative oracle: integral of 1/(x^2+1) over [-1000, 1000]
     # equals 2*atan(1000) (which is pi only up to the 2e-3 tail).
-    res = integrate_line(lambda x: 1.0 / (x**2 + 1.0), -1000.0, 1000.0, seeds=[0.0])
-    assert res.value.real == pytest.approx(2.0 * math.atan(1000.0), abs=1e-8)
+    values, _, _ = integrate_lines(lambda x, _line: 1.0 / (x**2 + 1.0), -1000.0, 1000.0, seeds=[[0.0]])
+    assert values[0].real == pytest.approx(2.0 * math.atan(1000.0), abs=1e-8)
 
 
 def test_complex_exponential_full_period():
-    res = integrate_line(lambda x: np.exp(1j * x), 0.0, 2.0 * math.pi)
-    assert abs(res.value) < 1e-10
+    values, _, _ = integrate_lines(lambda x, _line: np.exp(1j * x), 0.0, 2.0 * math.pi)
+    assert abs(values[0]) < 1e-10
 
 
 def test_no_convergence_carries_partial():
     cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
     with pytest.raises(NoConvergence) as exc_info:
-        integrate_line(lambda x: np.abs(x - math.pi / 10) ** 0.51, 0.0, 1.0, cfg)
+        integrate_lines(lambda x, _line: np.abs(x - math.pi / 10) ** 0.51, 0.0, 1.0, cfg)
     partial = exc_info.value.partial
     assert partial is not None
     assert partial.abs_error_estimate > 0
@@ -77,22 +76,18 @@ def test_non_finite_error_fails_at_once():
     assert exc_info.value.partial.evaluations == 15
 
 
-def test_integrate_line_is_one_line_of_integrate_lines():
-    # The one-line form returns the batched engine's own numbers, bit for
-    # bit: value, error estimate and evaluation count.
-    def f(x):
+def test_seeded_line_refines_to_the_antiderivative():
+    # A narrow peak off every seed must be found by refinement; the value
+    # matches the antiderivative of both parts.
+    def f(x, _line):
         return 1.0 / ((x - 0.3) ** 2 + 1e-4) + 1j * np.cos(3.0 * x)
 
-    cfg = QuadConfig(rel_tol=1e-12)
     seeds = [0.0, 0.3, 7.5, 99.0]
-    res = integrate_line(f, -20.0, 40.0, cfg, seeds=seeds)
-    values, errors, evals = integrate_lines(lambda x, line: f(x), -20.0, 40.0, cfg, seeds=[seeds])
-    assert res.value == complex(values[0])
-    assert res.abs_error_estimate == float(errors[0])
-    assert res.evaluations == int(evals[0])
-    assert res.evaluations > 15 * len(seeds)  # it had to refine
-    with pytest.raises(ValueError):
-        integrate_line(f, 1.0, 1.0)
+    values, errors, evals = integrate_lines(f, -20.0, 40.0, QuadConfig(rel_tol=1e-12), seeds=[seeds])
+    want = 100.0 * (math.atan(39.7 / 0.01) - math.atan(-20.3 / 0.01)) + 1j * (math.sin(120.0) - math.sin(-60.0)) / 3.0
+    assert abs(values[0] - want) <= 1e-10 * abs(want)
+    assert errors[0] <= 1e-12 * abs(values[0])
+    assert evals[0] > 15 * len(seeds)  # it had to refine
 
 
 def test_half_line_map():
@@ -392,9 +387,10 @@ def test_convolve_reversal_symmetry_identical_pulses():
             * g_kernel(w1, w2, swapped, omega_sum - swapped, params)
         )
 
-    a = integrate_line(forward, -80.0, 80.0, seeds=[0.0, omega_sum]).value
-    b = integrate_line(reversed_integrand, -80.0, 80.0, seeds=[0.0, omega_sum]).value
-    assert abs(a - b) < 1e-10
+    seeds = [[0.0, omega_sum]]
+    a, _, _ = integrate_lines(lambda nu, _line: forward(nu), -80.0, 80.0, seeds=seeds)
+    b, _, _ = integrate_lines(lambda nu, _line: reversed_integrand(nu), -80.0, 80.0, seeds=seeds)
+    assert abs(a[0] - b[0]) < 1e-10
 
 
 def test_error_estimate_soundness_on_kernel_family():
