@@ -97,6 +97,17 @@ def test_general_equals_specialized_coincidence_form():
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0))
 
 
+def test_grid_matches_pointwise_evaluation():
+    grid = FrequencyGrid(-6.0, 6.0, 13)
+    ga = channel_matrices(grid, IDENTICAL, FIG_PARAMS)
+    pts = grid.points
+    for i in (0, 4, 9):
+        for j in (2, 6, 12):
+            at = amplitudes_at(float(pts[i]), float(pts[j]), IDENTICAL, FIG_PARAMS)
+            assert abs(ga.lr[i, j] - at.lr[0]) <= 1e-12
+            assert abs(ga.ll[i, j] - at.ll[0]) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "inp, params",
     [
