@@ -12,18 +12,26 @@ A(s) = sum_t integral conj(x_t(nu) y_t(s - nu)) u(nu) u(s - nu) dnu and
 P(s) = integral |u(nu) u(s - nu)|^2 dnu = pi / (kappa (s'^2 + 16 kappa^2)).
 Lorentzian probabilities take this form without a grid: one engine line
 with mapped tails gives the 16 Gram entries of single_factors, and one
-outer line over s does the rest, each of its sweeps integrating J and the
-three A at its nodes as one inner batch (quadrature.convolution_lines,
-which folds each line at nu = s / 2, so the inner integrands are summed
-with their images under nu <-> s - nu).  They are rows of one array,
-formed in real arithmetic from the Lorentzian pair products and u u;
-identical pulses integrate three rows, J, A_LL and A_LR, and copy A_LL
-into A_RR, which leaves every value and error estimate as it was.  J
-stays on the engine, so --tol and NoConvergence hold, and the residue
-oracle stays independent.  est_error bounds the outer error plus how far
-the inner and Gram errors move the masses; the outer line integrates
-that bound as a down-weighted fourth row (_BOUND_WEIGHT), so the bound's
-own rough error never steers where the line refines.
+outer line over s does the rest, each of its sweeps integrating the three
+A at its nodes as one inner batch (quadrature.convolution_lines, which
+folds each line at nu = s / 2, so the inner integrands are summed with
+their images under nu <-> s - nu).  They are rows of one array, formed
+in real arithmetic from the Lorentzian pair products and u u; identical
+pulses integrate A_LL and A_LR and copy A_LL into A_RR.  With a = nu +
+omega_c, b = s - nu + omega_c, q = 1 / ((a^2 + 4 kappa^2)(b^2 + 4 kappa^2)),
+p1 = xi_L(nu) xi_R(s - nu) and p2 = xi_R(nu) xi_L(s - nu), u u = r + i t
+with r = (a b - 4 kappa^2) q and t = 2 kappa (a + b) q; theta1 = a u and
+theta2 = 2i kappa u make the A_LR integrand r conj(p1 + p2), A_LL's
+-4 kappa q i conj(a p1 + b p2) and A_RR's -4 kappa q i conj(b p1 + a p2).
+Their LL-RR mean is -i t conj(p1 + p2), so J's integrand u u (p1 + p2)
+is conj(A_LR + (A_LL + A_RR) / 2), and so is J, the rule being linear:
+J needs no row.  The engine's error estimate e is the max-norm over the
+rows, so est_error charges J's error with 2 e.  J still comes from engine
+integrals, so --tol and NoConvergence hold, and the residue oracle stays
+independent.  est_error bounds the outer error plus how far the inner and
+Gram errors move the masses; the outer line integrates that bound as a
+down-weighted fourth row (_BOUND_WEIGHT), so the bound's own rough error
+never steers where the line refines.
 
 Sampled pulses keep the trapezoid window (window_terms), the same algebra
 on the grid without any n x n array: with weights w, the Gram products
@@ -172,56 +180,41 @@ def _whole_plane_masses(inp, params, cfg, include_convolution):
     masses, err = _pair_masses(gram), _CHANNEL_WEIGHTS @ _gram_error(gram, g_err)
     if not include_convolution:
         return masses, err
-    k4, rows = 4.0 * k * k, 3 if inp.identical else 4
+    k4, rows = 4.0 * k * k, 2 if inp.identical else 3
 
     def conv_density(s, _line):
         # Per node: 2 Re h A + |h|^2 P per channel, and a bound on how far the
-        # inner errors e (max over J and the A) move their weighted sum.
+        # inner errors move their weighted sum.
         sums = s.ravel()
 
         def inner(nu, mu, _line):
-            # J's reduced integrand and the conj(L_c) u u of LL, LR and (for
-            # distinct pulses) RR, each plus its image under nu <-> mu
-            # (convolution_lines folds at nu = s / 2), in real arithmetic.
-            # With a = nu + omega_c, b = mu + omega_c, theta1 = a u and
-            # theta2 = 2i kappa u, all come from p1 = xi_L(nu) xi_R(mu),
-            # p2 = xi_R(nu) xi_L(mu) and u u = r + i t: r = (a b - 4 kappa^2) q,
-            # t = 2 kappa (a + b) q, q = |u u|^2 = 1 / ((a^2 + 4 kappa^2)(b^2 + 4 kappa^2)).
+            # The A rows of the module docstring, each plus its image under
+            # nu <-> mu (convolution_lines folds at nu = s / 2).
             a, b = nu + wc, mu + wc
             q = 1.0 / ((a * a + k4) * (b * b + k4))
-            r, mt = (a * b - k4) * q, (-2.0 * k) * (a + b) * q
+            r = (a * b - k4) * q
             out = np.empty((rows,) + nu.shape, dtype=complex)
             p1 = lorentzian_pair(inp.left, inp.right, nu, mu)
-            if inp.identical:
-                both, mean = p1 + p1, out[1]
-            else:
-                p2 = lorentzian_pair(inp.right, inp.left, nu, mu)
-                both, mean = p1 + p2, np.empty(nu.shape, dtype=complex)
-                # LL = -4 kappa q i conj(a p1 + b p2), RR = -4 kappa q i conj(b p1 + a p2).
-                q *= -4.0 * k
-                for row, x, y in ((out[1], a, b), (out[3], b, a)):
-                    row.real, row.imag = q * (x * p1.imag + y * p2.imag), q * (x * p1.real + y * p2.real)
-            # (LL + RR) / 2 = -t i conj(both): the LL row itself for identical pulses.
-            np.multiply(mt, both.imag, out=mean.real)
-            np.multiply(mt, both.real, out=mean.imag)
-            # LR = r conj(both) and J = u u both = conj(LR + (LL + RR) / 2).
-            np.conjugate(both, out=out[2])
-            out[2].real *= r
-            out[2].imag *= r
-            np.add(out[2], mean, out=out[0])
-            np.conjugate(out[0], out=out[0])
+            p2 = p1 if inp.identical else lorentzian_pair(inp.right, inp.left, nu, mu)
+            # LL, and RR unless it equals LL (identical pulses); then LR.
+            q *= -4.0 * k
+            for i, x, y in ((0, a, b), (2, b, a))[: rows - 1]:
+                out[i].real, out[i].imag = q * (x * p1.imag + y * p2.imag), q * (x * p1.real + y * p2.real)
+            np.conjugate(p1 + p2, out=out[1])
+            out[1].real *= r
+            out[1].imag *= r
             return out
 
-        v, e, _ = convolution_lines(inner, sums, inp, params, cfg)
+        a, e, _ = convolution_lines(inner, sums, inp, params, cfg)
         if inp.identical:
-            # The RR row equals the LL row, and their max-norm error is LL's.
-            v = v[:, [0, 1, 2, 1]]
+            a = a[:, [0, 1, 0]]
         sp = sums + 2.0 * wc
         spf = sp * sum_factor(sums, params)
-        h, a = spf * v[:, 0], v[:, 1:]
+        h = spf * np.conj(a[:, 1] + 0.5 * (a[:, 0] + a[:, 2]))  # J from the A (module docstring)
         p = math.pi / (k * (sp**2 + 16.0 * k**2))
         dens = 2.0 * (h[:, None] * a).real + (np.abs(h) ** 2 * p)[:, None]
-        bound = 2.0 * e * (np.abs(spf) * (np.abs(a) @ _CHANNEL_WEIGHTS + 2.0 * np.abs(h) * p) + 2.0 * np.abs(h))
+        # Errors e in the A and 2 e in J move the weighted sum by at most this, to first order.
+        bound = 4.0 * e * (np.abs(spf) * (np.abs(a) @ _CHANNEL_WEIGHTS + 2.0 * np.abs(h) * p) + np.abs(h))
         return np.concatenate([dens.T, _BOUND_WEIGHT * bound[None, :]]).reshape((4,) + s.shape)
 
     features = [c_l + c_r, -2.0 * wc, c_l - wc, c_r - wc]  # the poles of h, A and P in s

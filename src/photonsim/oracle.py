@@ -107,20 +107,24 @@ def residue_conv_term(omega1, omega2, gamma_l: float, gamma_r: float, omega_o: f
     """The convolution term of every channel amplitude (GridAssembly.conv)
     for Lorentzian inputs: the channel factor times residue_convolution."""
     k, wc = params.kappa, params.omega_c
-    channel = 2.0 * np.sqrt(k) * (omega1 + wc + 2j * k) / (omega1 + wc - 2j * k)
-    return channel * residue_convolution(omega1, omega2, gamma_l, gamma_r, omega_o, params)
+    w1 = np.asarray(omega1, dtype=float)
+    channel = 2.0 * np.sqrt(k) * (w1 + wc + 2j * k) / (w1 + wc - 2j * k)
+    value = cmul(channel, residue_convolution(omega1, omega2, gamma_l, gamma_r, omega_o, params))
+    return value if np.ndim(value) else complex(value)
 
 
-def residue_t_lr(omega1: float, omega2: float, pulse: LorentzianPulse, params: NetworkParams) -> complex:
-    """Closed-form coincidence amplitude for identical Lorentzian inputs.
+def residue_t_lr(omega1, omega2, pulse: LorentzianPulse, params: NetworkParams):
+    """Closed-form coincidence amplitude for identical Lorentzian inputs,
+    broadcast over (omega1, omega2); a complex for scalar inputs.
 
     Algebraically equal to amplitudes_at(...).lr with both channels fed
     ``pulse``, by a separate formula and no quadrature: the linear part
     in its own rational form plus residue_conv_term.
     """
-    xi = pulse_amplitude(pulse, omega1) * pulse_amplitude(pulse, omega2)
-    if params.kappa == 0.0:
-        return complex(xi)
-    k, wc = params.kappa, params.omega_c
-    lin = xi * ((omega1 + wc) * (omega2 + wc) - (2.0 * k) ** 2) / ((omega1 + wc - 2j * k) * (omega2 + wc - 2j * k))
-    return lin + residue_conv_term(omega1, omega2, pulse.gamma, pulse.gamma, pulse.omega_o, params)
+    w1, w2 = np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float)
+    xi = cmul(pulse_amplitude(pulse, w1), pulse_amplitude(pulse, w2))
+    if params.kappa != 0.0:
+        k, wc = params.kappa, params.omega_c
+        lin = cmul(xi, ((w1 + wc) * (w2 + wc) - (2.0 * k) ** 2) / cmul(w1 + wc - 2j * k, w2 + wc - 2j * k))
+        xi = lin + residue_conv_term(w1, w2, pulse.gamma, pulse.gamma, pulse.omega_o, params)
+    return xi if np.ndim(xi) else complex(xi)

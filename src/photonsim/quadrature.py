@@ -500,17 +500,6 @@ def convolution_lines(integrand, omega_sums, inp: TwoPhotonInput, params: Networ
         ) from exc
 
 
-def pulse_products(inp: TwoPhotonInput, nu, mu):
-    """(p1, p2) = (amplitude_L(nu) amplitude_R(mu), amplitude_R(nu)
-    amplitude_L(mu)): p1 + p2 is the pulse product symmetrised under
-    nu <-> mu, as convolution_lines needs it.  Identical pulses give p2 =
-    p1, bit for bit what the general form computes."""
-    p1 = pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
-    if inp.identical:
-        return p1, p1
-    return p1, pulse_amplitude(inp.right, nu) * pulse_amplitude(inp.left, mu)
-
-
 def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadConfig | None = None):
     """Reduced convolution over nu of
     amplitude_L(nu) * amplitude_R(omega_sum-nu) /
@@ -528,7 +517,9 @@ def j_lines(omega_sums, inp: TwoPhotonInput, params: NetworkParams, cfg: QuadCon
     two_ik = 2j * params.kappa
 
     def integrand(nu, mu, _line):
-        p1, p2 = pulse_products(inp, nu, mu)
+        # The pulse product symmetrised under nu <-> mu, as convolution_lines needs it.
+        p1 = pulse_amplitude(inp.left, nu) * pulse_amplitude(inp.right, mu)
+        p2 = p1 if inp.identical else pulse_amplitude(inp.right, nu) * pulse_amplitude(inp.left, mu)
         return (p1 + p2) / ((nu + wc - two_ik) * (mu + wc - two_ik))
 
     return convolution_lines(integrand, omega_sums, inp, params, cfg)

@@ -146,7 +146,7 @@ def _check_identical_identities(quick):
     w1, w2 = rng.uniform(-6, 6, (n, 2)).T
     at = amplitudes_at(w1, w2, inp, params)
     swap = amplitudes_at(w2, w1, inp, params).rr
-    oracle_lr = np.array([residue_t_lr(a, b, pulse, params) for a, b in zip(w1, w2)])
+    oracle_lr = residue_t_lr(w1, w2, pulse, params)
     worst = max(
         float(np.max(np.abs(at.ll - at.rr))) / 1e-12,
         float(np.max(np.abs(at.lr - oracle_lr))) / 1e-12,

@@ -171,19 +171,19 @@ PINNED_BYTES = {
         "stdout": "711095ac76789ea6cfb8b94060cae2c6",
     },
     # hom, probabilities, probabilities-identical and save-config re-pinned
-    # when the whole-plane inner integrand moved to real arithmetic and the
-    # outer line's error-bound row stopped steering its refinement (P moved
-    # by at most 1.7e-13).
+    # when the whole-plane inner batch stopped integrating J and took it
+    # from the A rows, whose error bound charges J twice the rows' error
+    # (P moved by at most 5.6e-17, est_error rose by 0.5-2.5 %).
     "hom": {
-        "out": "9b2e3bb36044bf30068322c3a9bce503",
+        "out": "3e57e41fd27a17810efc4d1b0f9e3cf4",
         "stdout": EMPTY,
     },
     "probabilities": {
-        "out": "d01a54a11890d51ba6542aa3943cecad",
+        "out": "8dee0d9c95da5fbb0aea968bc290aa0f",
         "stdout": EMPTY,
     },
     "probabilities-identical": {
-        "out": "292b3ed4be17dbea3ca963b50e8a3a9a",
+        "out": "48ff96d3550011054507da402b2b50e6",
         "stdout": EMPTY,
     },
     "probabilities-tabulated": {
@@ -195,7 +195,7 @@ PINNED_BYTES = {
         "stdout": EMPTY,
     },
     "save-config": {
-        "out": "f59f3fc1417f4fc82a3954e15f274546",
+        "out": "b76cac08413f70d332c9859d4c5dab9a",
         "run.json": "49cb1bb64f860c2b1dc27a2c3712ce97",
         "stdout": EMPTY,
     },

@@ -27,7 +27,7 @@ from photonsim.observables import (
     single_photon_probabilities,
     window_terms,
 )
-from photonsim.quadrature import QuadConfig, convolution_lines, trapezoid_weights
+from photonsim.quadrature import QuadConfig, convolution_lines, j_lines, trapezoid_weights
 from photonsim.verify import grid_window_reference
 
 PULSE = LorentzianPulse(1.0, 0.0)
@@ -198,6 +198,45 @@ def test_folded_lines_cut_inner_evaluations(monkeypatch, inp, params, unfolded_e
 )
 def test_error_bound_row_does_not_steer_the_outer_line(monkeypatch, inp, params, steered_evals):
     assert _inner_evaluations(monkeypatch, inp, params) < steered_evals
+
+
+def _inner_batches(monkeypatch, inp, params):
+    """(sums, values, error estimates, row counts of the integrand's calls)
+    of every inner batch of the whole-plane probabilities."""
+    batches = []
+
+    def captured(integrand, sums, *args):
+        rows = set()
+
+        def inner(nu, mu, line):
+            out = integrand(nu, mu, line)
+            rows.add(out.shape[0])
+            return out
+
+        out = convolution_lines(inner, sums, *args)
+        batches.append((sums, out[0], out[1], rows))
+        return out
+
+    monkeypatch.setattr(photonsim.observables, "convolution_lines", captured)
+    probabilities(inp, params)
+    assert batches
+    return batches
+
+
+@pytest.mark.parametrize(
+    "inp, params, rows",
+    [(IDENTICAL, NetworkParams(1.5, 3.0), 2), (_DISTINCT_WIDTHS, NetworkParams(0.7, -1.3), 3)],
+    ids=["identical", "distinct-widths"],
+)
+def test_whole_plane_inner_batch_derives_j_from_the_channel_rows(monkeypatch, inp, params, rows):
+    # The inner batch integrates A_LL, A_LR and (for distinct pulses) A_RR
+    # only; J = conj(A_LR + (A_LL + A_RR) / 2) then sits within twice their
+    # error estimate of the ladder's J plus the ladder's own estimate.
+    for sums, a, e, shapes in _inner_batches(monkeypatch, inp, params):
+        assert shapes == {rows}
+        a = a[:, [0, 1, 0]] if rows == 2 else a
+        want, want_err, _ = j_lines(sums, inp, params)
+        assert np.all(np.abs(np.conj(a[:, 1] + 0.5 * (a[:, 0] + a[:, 2])) - want) <= 2.0 * e + want_err)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from photonsim.oracle import (
     residue_conv_term,
     residue_convolution,
     residue_j,
+    residue_t_lr,
 )
 from photonsim.quadrature import j_lines
 
@@ -105,6 +106,23 @@ def test_residue_convolution_batch_equals_per_pair_calls():
     for idx in np.ndindex(9, 9):
         one = residue_convolution(float(w1[idx]), float(w2[idx]), 0.7, 1.9, 0.2, params)
         assert type(one) is complex and one == batch[idx]
+
+
+@pytest.mark.parametrize(
+    "pulse, params",
+    [(LorentzianPulse(1.0), NetworkParams(1.5, 0.0)), (LorentzianPulse(0.7, 0.4), NetworkParams(0.8, -1.3))],
+)
+def test_conv_term_and_t_lr_batch_equal_one_node_calls(pulse, params):
+    # verify compares a batch of amplitudes with residue_t_lr; the oracle's
+    # values must not depend on how its nodes are batched.
+    w1, w2 = np.random.default_rng(8).uniform(-6.0, 6.0, (2, 500))
+    conv = residue_conv_term(w1, w2, pulse.gamma, pulse.gamma, pulse.omega_o, params)
+    lr = residue_t_lr(w1, w2, pulse, params)
+    for i, (a, b) in enumerate(zip(w1.tolist(), w2.tolist())):
+        one_conv = residue_conv_term(a, b, pulse.gamma, pulse.gamma, pulse.omega_o, params)
+        one_lr = residue_t_lr(a, b, pulse, params)
+        assert type(one_conv) is complex and one_conv == conv[i]
+        assert type(one_lr) is complex and one_lr == lr[i]
 
 
 def test_grid_fill_near_zero_coupling():
