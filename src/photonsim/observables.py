@@ -42,12 +42,16 @@ first order.  Their linear mass beyond the window is exact (the pair
 sums of G_in + G_out less those of G_in, G_out from the two half-lines);
 their convolution out there stays unmodeled, bounded from the edges.
 These sums (np.convolve, numpy's own loop) avoid OpenBLAS's threaded
-sizes, whose idle spin doubled a Lorentzian op's CPU.
+sizes, whose idle spin doubled a Lorentzian op's CPU; schmidt_report's
+SVD runs on one OpenBLAS thread and restores the count after it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,6 +390,22 @@ def hom_scan(
     return rows
 
 
+_BLAS_LOCK = threading.Lock()
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count calls via numpy's linalg, or None."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
 def schmidt_report(amp: JointAmplitude) -> SchmidtReport:
     """Quadrature-weighted SVD of an amplitude matrix.
 
@@ -395,7 +415,16 @@ def schmidt_report(amp: JointAmplitude) -> SchmidtReport:
     normalization.
     """
     cell = math.sqrt(amp.grid1.spacing * amp.grid2.spacing)
-    s = np.linalg.svd(amp.values * cell, compute_uv=False)
+    # One OpenBLAS thread: a threaded SVD leaves a worker spinning for 0.1 s
+    # and moves its last bits.  Each caller leaves the count as it found it.
+    get, put = _openblas_threads() or (lambda: None, lambda n: None)
+    with _BLAS_LOCK:
+        n = get()
+        put(1)
+        try:
+            s = np.linalg.svd(amp.values * cell, compute_uv=False)
+        finally:
+            put(n)
     if s.size == 0 or s[0] <= 1e-150:
         raise ZeroAmplitude("amplitude matrix is numerically zero")
     s = s[s >= 1e-12 * s[0]]

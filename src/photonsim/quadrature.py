@@ -24,11 +24,11 @@ scale it must reach; break points that agree up to rounding are merged
 into one.
 ``integrate_grid_2d`` is the tensor trapezoid rule on the shared grid.
 
-Every contraction on the probabilities path stays on one core: after a
-threaded call OpenBLAS's second worker spins for about 0.1 s, which made
-a Lorentzian ``probabilities`` op cost twice its wall time in CPU.  The
-engine's weight product stays below OpenBLAS's threaded sizes (see
-``_BLOCK``) and ``integrate_grid_2d`` sums on numpy's own loops.
+Every BLAS call in photonsim stays on one core: after a threaded call
+OpenBLAS's second worker spins for about 0.1 s, which doubled the CPU of
+a Lorentzian ``probabilities`` op.  The engine's weight product stays
+below the threaded sizes (see ``_BLOCK``), ``integrate_grid_2d`` sums on
+numpy's own loops and ``observables.schmidt_report`` sets one thread.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
 import struct
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -119,6 +121,8 @@ BYTE_CALLS = {
     "probabilities-tabulated": ["probabilities", *TABULATED, "--kappa", "0.9",
                                 "--omega-c", "-0.3", "--grid", "-6:6:25"],
     "schmidt": ["schmidt", "--channel", "lr", *PAIR, "--grid", "-3:3:9"],
+    # The default 121 x 121 map, whose SVD is in OpenBLAS's threaded sizes.
+    "schmidt-default": ["schmidt"],
     "save-config": ["probabilities", "--kappa", "0.7", "--tol", "1e-7",
                     "--save-config", "run.json"],
     "verify-quick": ["verify", "--quick"],
@@ -194,6 +198,13 @@ PINNED_BYTES = {
         "out": "79f3c36ee5f82c2e78727caa2c1e9443",
         "stdout": EMPTY,
     },
+    # Recorded with the SVD on one OpenBLAS thread, as schmidt_report runs
+    # it whatever the environment; a threaded SVD moves the singular values
+    # in their last bits.
+    "schmidt-default": {
+        "out": "f34fdfce2ed7fa23f379d5250eae8527",
+        "stdout": EMPTY,
+    },
     "save-config": {
         "out": "b76cac08413f70d332c9859d4c5dab9a",
         "run.json": "49cb1bb64f860c2b1dc27a2c3712ce97",
@@ -218,6 +229,22 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, name):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:32] for p in written}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32]
     assert digests == PINNED_BYTES[name]
+
+
+def test_schmidt_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # A threaded SVD moves the singular values in their last bits, so the
+    # file would depend on the host's core count and the environment.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(photonsim.cli.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        run = tmp_path / name
+        run.mkdir()
+        subprocess.run([sys.executable, "-m", "photonsim.cli", "schmidt", "--output", "out"],
+                       cwd=run, env={**env, **extra}, check=True, timeout=120)
+        outputs.append((run / "out").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # Doubles a 17-digit writer must keep: signed zero, infinities, NaN, the

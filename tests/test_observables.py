@@ -1,6 +1,8 @@
 """Tests for probabilities, conservation, coincidence scans, spectral
 decomposition, and the single-photon observables."""
 
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -584,6 +586,64 @@ def test_probabilities_runs_on_one_core():
     probabilities(inp, NetworkParams(0.7, -1.3), FrequencyGrid(-40.0, 40.0, 801))
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     assert cpu <= 1.25 * wall
+
+
+def _default_map():
+    """The LR amplitude `photonsim schmidt` decomposes at its defaults."""
+    return amplitude_grid(Channel.LR, FrequencyGrid(-6.0, 6.0, 121), IDENTICAL, NetworkParams(1.5, 0.0))
+
+
+def test_schmidt_runs_on_one_core():
+    # The SVD of a 121 x 121 map is in OpenBLAS's threaded sizes: on more
+    # threads than one, the worker spinning after each call is charged to
+    # the next one, and ten calls cost about twice their wall time in CPU.
+    amp = _default_map()
+    time.sleep(0.3)  # let workers woken by earlier tests go idle
+    cpu, wall = time.process_time(), time.perf_counter()
+    for _ in range(10):
+        schmidt_report(amp)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.25 * wall
+
+
+def test_schmidt_threads_agree_and_keep_the_blas_thread_count():
+    # More threads than cores, switching often, all setting and restoring
+    # the process-wide OpenBLAS count: a lost restore or an SVD run on a
+    # changed count would show in the count or in the reports' bits.
+    amp = _default_map()
+    calls = photonsim.observables._openblas_threads()
+    before = calls[0]() if calls else None
+    want = schmidt_report(amp)
+    got = []
+
+    def run():
+        got.extend(schmidt_report(amp) for _ in range(3))
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 12
+    for rep in got:
+        assert rep.singular_values.tobytes() == want.singular_values.tobytes()
+        assert (rep.entropy, rep.schmidt_number) == (want.entropy, want.schmidt_number)
+    if calls:
+        assert calls[0]() == before
+    # JointAmplitude refuses non-finite values, so swap them in afterwards
+    # to make the SVD itself raise.
+    nan = JointAmplitude(amp.channel, amp.grid1, amp.grid2, amp.values, 0.0)
+    object.__setattr__(nan, "values", np.full_like(amp.values, np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        schmidt_report(nan)
+    if calls:
+        assert calls[0]() == before
 
 
 @pytest.mark.parametrize("inp", [IDENTICAL, TwoPhotonInput(LorentzianPulse(0.6), LorentzianPulse(1.8))])
